@@ -5,7 +5,7 @@
 //!
 //! experiments: table1 fig6 fig7 fig8 fig9a fig9b fig10a fig10b
 //!              ablations extensions reordering faults plan sanitize serve
-//!              shard traffic evolve recover bench chaos verify all
+//!              shard traffic evolve recover chaos verify all
 //! ```
 //!
 //! `--scale` shrinks every dataset proportionally (default 0.05; use 1.0
@@ -13,7 +13,7 @@
 //! matrices like the paper; summary rows always exclude them. `--smoke`
 //! shortens the `evolve` and `recover` scenarios for CI smoke jobs.
 //! `--seed` overrides the seed of every seeded experiment (serve,
-//! faults, traffic, shard, evolve, recover, bench, chaos) and is echoed
+//! faults, traffic, shard, evolve, recover, chaos) and is echoed
 //! in the report header so any run can be reproduced from its output
 //! alone. `chaos --replay <file>` re-runs a shrunk reproducer emitted
 //! by a failing chaos sweep. Any experiment whose verdict fails makes
@@ -106,7 +106,7 @@ fn main() {
             eprintln!(
                 "usage: repro <table1|fig6|fig7|fig8|fig9a|fig9b|fig10a|fig10b|ablations|extensions|reordering|faults|verify|all> \
                  [--scale S] [--gpu l40|v100|both] [--smoke] [--seed N] [--replay FILE]   \
-                 (also: plan sanitize serve shard traffic evolve recover bench chaos)"
+                 (also: plan sanitize serve shard traffic evolve recover chaos)"
             );
             std::process::exit(2);
         }
@@ -383,30 +383,6 @@ fn main() {
                 }
                 println!("{verdict}");
                 failed |= !verdict.pass;
-            }
-        }
-        "bench" => {
-            // The machine-readable performance summary: per-engine geomean
-            // GFLOPS on the in-scope corpus, the SpMM amortisation curve
-            // over K in {1,2,4,8,16}, serving p50/p99 under light load,
-            // and the plan cache's repeat hit rate. Written to
-            // `BENCH_10.json` for dashboards; the tables mirror it.
-            let seed = args.seed.unwrap_or(11);
-            for gpu in &args.gpus {
-                let s = spaden_bench::run_bench_summary(gpu, scale, seed);
-                for t in spaden_bench::bench_summary_tables(gpu, &s) {
-                    println!("{t}");
-                }
-                let json = spaden_bench::bench_summary_json(gpu, scale, seed, &s);
-                let path = if args.gpus.len() > 1 {
-                    format!("BENCH_10_{}.json", gpu.name.to_ascii_lowercase())
-                } else {
-                    "BENCH_10.json".to_string()
-                };
-                match std::fs::write(&path, &json) {
-                    Ok(()) => println!("wrote {path}"),
-                    Err(e) => eprintln!("could not write {path}: {e}"),
-                }
             }
         }
         "chaos" => {

@@ -14,7 +14,6 @@
 //! run.
 
 pub mod batching;
-pub mod bench9;
 pub mod chaos10;
 pub mod evolve;
 pub mod experiments;
@@ -30,9 +29,6 @@ pub mod traffic;
 pub mod verdict;
 
 pub use batching::{batch_report, run_batch_bench, BatchBenchConfig, BatchPoint, BatchReport};
-pub use bench9::{
-    bench_summary_json, bench_summary_tables, run_bench_summary, BenchSummary, EngineGflops,
-};
 pub use chaos10::chaos_report;
 pub use evolve::{evolve_report, run_evolve, EvolveReport, EvolveScenario};
 pub use experiments::*;

@@ -15,7 +15,7 @@ use crate::Table;
 use spaden::gpusim::{DeviceFaultConfig, GpuConfig};
 use spaden::sparse::gen;
 use spaden_serve::{
-    device_chaos_sweep, DeviceChaosConfig, DeviceChaosReport, DeviceProfile, Rung,
+    device_chaos_sweep, percentile, DeviceChaosConfig, DeviceChaosReport, DeviceProfile, Rung,
 };
 use spaden_shard::{DeviceFleet, ShardPolicy, ShardedMatrix};
 
@@ -23,31 +23,21 @@ fn shard_x(ncols: usize, salt: usize) -> Vec<f32> {
     (0..ncols).map(|i| ((i * 131 + salt * 977 + 29) % 256) as f32 / 128.0 - 1.0).collect()
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Runs `requests` sharded executions and returns sorted latencies.
+/// Runs `requests` sharded executions and returns their latencies.
 fn run_stream(
     m: &mut ShardedMatrix,
     fleet: &mut DeviceFleet,
     ncols: usize,
     requests: usize,
 ) -> Vec<f64> {
-    let mut lat: Vec<f64> = (0..requests)
+    (0..requests)
         .map(|salt| {
             let run = m
                 .execute(fleet, &shard_x(ncols, salt), None)
                 .expect("stream profiles are survivable");
             run.elapsed_s
         })
-        .collect();
-    lat.sort_by(f64::total_cmp);
-    lat
+        .collect()
 }
 
 /// Latency vs device count on a healthy fleet, plus the single-device
@@ -65,9 +55,9 @@ fn scaling_table(gpu: &GpuConfig) -> Table {
         let mut m = ShardedMatrix::try_new(gpu, &csr, devices * 2, ShardPolicy::default())
             .expect("valid matrix shards");
         let mut fleet = DeviceFleet::new(devices, gpu, DeviceFaultConfig::disabled());
-        let lat = run_stream(&mut m, &mut fleet, csr.ncols, 8);
-        let p50 = percentile(&lat, 50.0);
-        let p99 = percentile(&lat, 99.0);
+        let mut lat = run_stream(&mut m, &mut fleet, csr.ncols, 8);
+        let p50 = percentile(&mut lat, 50.0);
+        let p99 = percentile(&mut lat, 99.0);
         if devices == 1 {
             p50_one = p50;
         }
@@ -101,12 +91,12 @@ fn speculation_table(gpu: &GpuConfig) -> (Table, bool) {
         let policy = ShardPolicy { speculation, ..ShardPolicy::default() };
         let mut m = ShardedMatrix::try_new(gpu, &csr, 8, policy).expect("valid matrix shards");
         let mut fleet = DeviceFleet::new(4, gpu, faults);
-        let lat = run_stream(&mut m, &mut fleet, csr.ncols, 48);
-        p99s[i] = percentile(&lat, 99.0);
+        let mut lat = run_stream(&mut m, &mut fleet, csr.ncols, 48);
+        p99s[i] = percentile(&mut lat, 99.0);
         let counters = fleet.counters();
         t.push_row(vec![
             if speculation { "on" } else { "off" }.to_string(),
-            Table::num(percentile(&lat, 50.0) * 1e6),
+            Table::num(percentile(&mut lat, 50.0) * 1e6),
             Table::num(p99s[i] * 1e6),
             counters.iter().map(|c| c.speculative_launches).sum::<u64>().to_string(),
             counters.iter().map(|c| c.speculative_wins).sum::<u64>().to_string(),

@@ -29,7 +29,7 @@ use spaden_serve::{
     ServeConfig, ServeError, SpmvServer, UpdateOutcome, Weaken,
 };
 use spaden_sparse::delta::{apply_to_csr, Delta, DeltaBatch, UpdateError};
-use spaden_sparse::{fingerprint, gen, Csr, Pcg64};
+use spaden_sparse::{fingerprint, gen, Csr, Fnv, Pcg64};
 use spaden_store::{inject, SnapshotPolicy, StorageFault, WalError};
 use spaden_traffic::traffic_x;
 use std::collections::BTreeSet;
@@ -144,30 +144,6 @@ fn structural_batch(truth: &Csr, rng: &mut Pcg64, k: usize, fresh: usize) -> Del
 fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
     let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
     (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Streaming FNV-1a, the repo's determinism-certificate hash.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(FNV_OFFSET)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
 }
 
 fn serve_config(weaken: Weaken) -> ServeConfig {
@@ -528,7 +504,7 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
     }
 
     // The determinism digest: every bit the scenario produced.
-    let mut d = Digest::new();
+    let mut d = Fnv::new();
     for (s, o) in &outcomes {
         d.u64(*s as u64);
         d.u64(o.epoch);
@@ -566,7 +542,7 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
 
     ScenarioOutcome {
         violations,
-        digest: d.0,
+        digest: d.finish(),
         offered: arrivals.len(),
         served,
         high_offered,

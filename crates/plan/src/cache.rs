@@ -12,7 +12,7 @@
 
 use crate::planner::Plan;
 use spaden_gpusim::GpuConfig;
-use spaden_sparse::MatrixFingerprint;
+use spaden_sparse::{Fnv, MatrixFingerprint};
 use std::sync::Arc;
 
 /// Cache key: one matrix (by structural fingerprint) on one GPU
@@ -38,25 +38,17 @@ impl PlanKey {
 /// injection settings are deliberately excluded: the same device under
 /// chaos testing still wants the same plan.
 pub fn gpu_digest(config: &GpuConfig) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(config.name.as_bytes());
-    eat(&(config.num_sms as u64).to_le_bytes());
-    eat(&(config.cuda_cores as u64).to_le_bytes());
-    eat(&(config.tensor_cores as u64).to_le_bytes());
-    eat(&(config.l2_bytes as u64).to_le_bytes());
-    eat(&config.clock_hz.to_bits().to_le_bytes());
-    eat(&config.dram_bw.to_bits().to_le_bytes());
-    eat(&config.mma_m16n16k16_per_s.to_bits().to_le_bytes());
-    eat(&config.mma_m8n8k4_per_s.to_bits().to_le_bytes());
-    h
+    let mut h = Fnv::new();
+    h.bytes(config.name.as_bytes());
+    h.u64(config.num_sms as u64);
+    h.u64(config.cuda_cores as u64);
+    h.u64(config.tensor_cores as u64);
+    h.u64(config.l2_bytes as u64);
+    h.f64(config.clock_hz);
+    h.f64(config.dram_bw);
+    h.f64(config.mma_m16n16k16_per_s);
+    h.f64(config.mma_m8n8k4_per_s);
+    h.finish()
 }
 
 /// Digest of the *structural* identity of a fingerprint: dimensions plus
@@ -64,16 +56,11 @@ pub fn gpu_digest(config: &GpuConfig) -> u64 {
 /// evolving matrix related by a value-only update share this key even
 /// though their full [`MatrixFingerprint::key`]s differ.
 pub fn structure_key(fp: &MatrixFingerprint) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv::new();
     for v in [fp.nrows as u64, fp.ncols as u64, fp.nnz as u64, fp.structure_digest] {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
+        h.u64(v);
     }
-    h
+    h.finish()
 }
 
 /// Result of a structure-aware [`PlanCache::lookup`].

@@ -77,7 +77,7 @@ pub use device_chaos::{
     device_chaos_sweep, DeviceCellReport, DeviceChaosConfig, DeviceChaosReport, DeviceProfile,
 };
 pub use checksum::CsrChecksums;
-pub use overload::{BrownoutMode, OverloadConfig, OverloadController, OverloadStats};
+pub use overload::{percentile, BrownoutMode, OverloadConfig, OverloadController, OverloadStats};
 pub use queue::{
     AdmissionQueue, Admitted, BoundedQueue, Dequeued, Priority, PushOutcome, ShedCounters,
     ShedReason, PRIORITIES,

@@ -270,12 +270,15 @@ impl OverloadController {
     }
 }
 
-/// Nearest-rank percentile; sorts in place.
-fn percentile(values: &mut [f64], p: f64) -> f64 {
+/// Nearest-rank percentile of `values`, `p` in `[0, 100]`; sorts in
+/// place. Zero when `values` is empty. The one percentile definition of
+/// the serving stack: [`ServeStats`](crate::ServeStats), the overload
+/// controller and the `repro` reports all read latencies through it.
+pub fn percentile(values: &mut [f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    values.sort_by(f64::total_cmp);
     let rank = ((p / 100.0 * values.len() as f64).ceil() as usize).clamp(1, values.len());
     values[rank - 1]
 }

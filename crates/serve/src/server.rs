@@ -63,7 +63,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::checksum::CsrChecksums;
-use crate::overload::{OverloadConfig, OverloadController, OverloadStats};
+use crate::overload::{percentile, OverloadConfig, OverloadController, OverloadStats};
 use crate::queue::{
     AdmissionQueue, BoundedQueue, Dequeued, Priority, PushOutcome, ShedCounters, ShedReason,
 };
@@ -567,13 +567,7 @@ impl ServeStats {
     /// Nearest-rank percentile of served-request simulated latency, `p` in
     /// `[0, 100]`. Zero when nothing was served.
     pub fn latency_percentile_s(&self, p: f64) -> f64 {
-        if self.latencies_s.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.latencies_s.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = ((p / 100.0 * v.len() as f64).ceil() as usize).clamp(1, v.len());
-        v[rank - 1]
+        percentile(&mut self.latencies_s.clone(), p)
     }
 
     /// Median simulated latency of served requests.
@@ -610,9 +604,10 @@ impl ServeStats {
 /// One immutable epoch snapshot of a registered matrix: the
 /// single-device ladder engines, the CSR-rung checksums, and per-rung
 /// cost estimates for deadline admission (the sharded form lives in
-/// `SpmvServer::sharded` and only serves the head epoch). Snapshots are
+/// `MatrixEntry::sharded` and only serves the head epoch). Snapshots are
 /// shared behind an [`Arc`]: requests capture one at admission and
 /// finish on it even if an update publishes a newer epoch meanwhile.
+/// Built only by `SpmvServer::build_snapshot`.
 struct PreparedMatrix {
     nrows: usize,
     ncols: usize,
@@ -664,6 +659,9 @@ struct BatchPlan {
 /// (the partition-cache key for value-only plan reslicing).
 struct MatrixEntry {
     current: Arc<PreparedMatrix>,
+    /// Sharded form of the *head epoch*; `None` when no fleet is
+    /// configured.
+    sharded: Option<ShardedMatrix>,
     evolving: Option<Box<EvolvingMatrix>>,
     fp: MatrixFingerprint,
     /// Crash-consistent durability, attached by
@@ -683,9 +681,6 @@ pub struct SpmvServer {
     gpu: Gpu,
     config: ServeConfig,
     matrices: Vec<MatrixEntry>,
-    /// Sharded form of each registered matrix's *head epoch*, parallel
-    /// to `matrices`; `None` entries when no fleet is configured.
-    sharded: Vec<Option<ShardedMatrix>>,
     /// The sharded rung's devices; `None` disables the rung.
     fleet: Option<DeviceFleet>,
     /// Fingerprint-keyed partition plans: re-registering a matrix the
@@ -729,7 +724,6 @@ impl SpmvServer {
             gpu,
             config,
             matrices: Vec::new(),
-            sharded: Vec::new(),
             fleet,
             partition_cache: PartitionCache::default(),
             breakers,
@@ -839,23 +833,33 @@ impl SpmvServer {
         Ok(Some(BatchPlan { spmm, cost_s, crossover }))
     }
 
-    /// Validates and registers a matrix: structural ingress check, all
-    /// three rung engines prepared, checksums and per-rung cost estimates
-    /// built. Malformed matrices are rejected with a typed error before
-    /// any engine sees them.
-    pub fn register(&mut self, csr: &Csr) -> Result<MatrixHandle, ServeError> {
-        csr.validate()
-            .map_err(|e| ServeError::Invalid(EngineError::Validation(e.to_string())))?;
-        let spaden =
-            SpadenEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
-        let scalar =
-            SpadenNoTcEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
+    /// Builds the serving form of one epoch — the only place a
+    /// [`PreparedMatrix`] is constructed. `csr` is the epoch's logical
+    /// truth and `spaden` its tensor-core engine over the base bitBSR;
+    /// `side` and `logical` are the uncompacted tail and the checksums
+    /// that verify base plus tail. The scalar rung reuses `spaden`'s
+    /// format (no second conversion); the CSR rung, its f32 checksums
+    /// and the sharded form (through the partition cache) come from
+    /// `csr`. `reuse` carries a previous epoch's ladder and cost
+    /// estimates across a value-only commit; without it one plain run
+    /// per rung prices the ladder.
+    fn build_snapshot(
+        &mut self,
+        csr: &Csr,
+        spaden: SpadenEngine,
+        side: Vec<SideEntry>,
+        logical: Option<AbftChecksums>,
+        epoch: u64,
+        reuse: Option<([Rung; 3], [f64; RUNGS])>,
+    ) -> Result<(PreparedMatrix, Option<ShardedMatrix>), ServeError> {
+        let scalar = SpadenNoTcEngine::try_from_parts(&self.gpu, spaden.format().clone())
+            .map_err(ServeError::Invalid)?;
         let csr_eng =
             CusparseCsrEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
-        let ladder = planned_ladder(&MatrixStats::of(csr), &self.gpu.config);
         let sums = CsrChecksums::build(csr);
-        // The sharded form is partitioned once here; its checksums are
-        // slices of the full matrix's (never recomputed).
+        // The sharded form's checksums are slices of the full matrix's
+        // (never recomputed); a cached partition plan skips the balance
+        // pass and the per-shard staging runs.
         let sharded = match &self.fleet {
             Some(fleet) => Some(
                 ShardedMatrix::try_new_cached(
@@ -869,42 +873,88 @@ impl SpmvServer {
             ),
             None => None,
         };
-        // Cost estimates from real counters: one plain (unchecked) run per
-        // rung. Counter totals depend on structure, not values, so the
-        // estimate holds for every future x. The sharded estimate assumes
-        // a full healthy fleet; the scheduler re-prices after crashes.
-        let x0 = vec![0.0f32; csr.ncols];
-        let est = |run: SpmvRun| run.time.seconds;
-        let est_cost_s = [
-            match (&sharded, &self.fleet) {
-                (Some(sm), Some(fleet)) => sm.est_s(fleet.len()),
-                _ => f64::INFINITY, // rung disabled; never attempted
-            },
-            est(spaden.try_run(&self.gpu, &x0).map_err(ServeError::Invalid)?),
-            est(scalar.try_run(&self.gpu, &x0).map_err(ServeError::Invalid)?),
-            est(csr_eng.try_run(&self.gpu, &x0).map_err(ServeError::Invalid)?),
-        ];
+        let (ladder, est_cost_s) = match reuse {
+            Some(reused) => reused,
+            None => {
+                // Cost estimates from real counters: one plain (unchecked)
+                // run per rung. Counter totals depend on structure, not
+                // values, so the estimate holds for every future x. The
+                // sharded estimate assumes a full healthy fleet; the
+                // scheduler re-prices after crashes.
+                let x0 = vec![0.0f32; csr.ncols];
+                let est = |run: Result<SpmvRun, EngineError>| {
+                    run.map(|r| r.time.seconds).map_err(ServeError::Invalid)
+                };
+                let est_cost_s = [
+                    match (&sharded, &self.fleet) {
+                        (Some(sm), Some(fleet)) => sm.est_s(fleet.len()),
+                        _ => f64::INFINITY, // rung disabled; never attempted
+                    },
+                    est(spaden.try_run(&self.gpu, &x0))?,
+                    est(scalar.try_run(&self.gpu, &x0))?,
+                    est(csr_eng.try_run(&self.gpu, &x0))?,
+                ];
+                (planned_ladder(&MatrixStats::of(csr), &self.gpu.config), est_cost_s)
+            }
+        };
         let batch = self.batch_plan(csr, est_cost_s[Rung::SpadenChecked as usize])?;
+        let snapshot = PreparedMatrix {
+            nrows: csr.nrows,
+            ncols: csr.ncols,
+            spaden,
+            scalar,
+            csr: csr_eng,
+            sums,
+            est_cost_s,
+            ladder,
+            epoch,
+            side,
+            logical,
+            batch,
+        };
+        Ok((snapshot, sharded))
+    }
+
+    /// [`SpmvServer::build_snapshot`] for an evolving matrix's current
+    /// epoch (commit and recovery). The tensor-core engine is rebuilt
+    /// from the verified base bitBSR and its checksums, so the served
+    /// f16 bits are the evolve layer's bits, not a re-rounding.
+    fn build_evolved(
+        &mut self,
+        ev: &EvolvingMatrix,
+        reuse: Option<([Rung; 3], [f64; RUNGS])>,
+    ) -> Result<(PreparedMatrix, Option<ShardedMatrix>), ServeError> {
+        let spaden = SpadenEngine::try_from_parts(
+            &self.gpu,
+            ev.base().clone(),
+            ev.base_sums().clone(),
+            SpadenConfig::default(),
+        )
+        .map_err(ServeError::Invalid)?;
+        let side = ev.delta().side().to_vec();
+        let logical = (!side.is_empty()).then(|| ev.logical_sums().clone());
+        self.build_snapshot(ev.csr(), spaden, side, logical, ev.epoch(), reuse)
+    }
+
+    /// Validates and registers a matrix: structural ingress check, all
+    /// three rung engines prepared, checksums and per-rung cost estimates
+    /// built. Malformed matrices are rejected with a typed error before
+    /// any engine sees them.
+    pub fn register(&mut self, csr: &Csr) -> Result<MatrixHandle, ServeError> {
+        csr.validate()
+            .map_err(|e| ServeError::Invalid(EngineError::Validation(e.to_string())))?;
+        // The one bitBSR conversion of a registration; preparing from
+        // the f32 source also runs the f16 conversion-hazard scan.
+        let spaden =
+            SpadenEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
+        let (current, sharded) = self.build_snapshot(csr, spaden, Vec::new(), None, 0, None)?;
         self.matrices.push(MatrixEntry {
-            current: Arc::new(PreparedMatrix {
-                nrows: csr.nrows,
-                ncols: csr.ncols,
-                spaden,
-                scalar,
-                csr: csr_eng,
-                sums,
-                est_cost_s,
-                ladder,
-                epoch: 0,
-                side: Vec::new(),
-                logical: None,
-                batch,
-            }),
+            current: Arc::new(current),
+            sharded,
             evolving: None,
             fp: fingerprint(csr),
             store: None,
         });
-        self.sharded.push(sharded);
         Ok(MatrixHandle(self.matrices.len() - 1))
     }
 
@@ -969,80 +1019,26 @@ impl SpmvServer {
         Ok((h, report))
     }
 
-    /// Registers a recovered matrix for serving. Engines are built with
-    /// the same `try_from_parts` path a committed update uses, so the
-    /// base bitBSR and side tail serve exactly the recovered bits.
+    /// Registers a recovered matrix for serving. The snapshot is built
+    /// by the same path a committed update uses, so the base bitBSR and
+    /// side tail serve exactly the recovered bits.
     fn install_recovered(
         &mut self,
         ev: Box<EvolvingMatrix>,
         policy: SnapshotPolicy,
     ) -> Result<MatrixHandle, ServeError> {
-        let fp = fingerprint(ev.csr());
-        let spaden = SpadenEngine::try_from_parts(
-            &self.gpu,
-            ev.base().clone(),
-            ev.base_sums().clone(),
-            SpadenConfig::default(),
-        )
-        .map_err(ServeError::Invalid)?;
-        let scalar = SpadenNoTcEngine::try_from_parts(&self.gpu, ev.base().clone())
-            .map_err(ServeError::Invalid)?;
-        let csr_eng =
-            CusparseCsrEngine::try_prepare(&self.gpu, ev.csr()).map_err(ServeError::Invalid)?;
-        let sums = CsrChecksums::build(ev.csr());
-        let side = ev.delta().side().to_vec();
-        let logical = (!side.is_empty()).then(|| ev.logical_sums().clone());
-        let sharded = match &self.fleet {
-            Some(fleet) => Some(
-                ShardedMatrix::try_new_cached(
-                    &self.gpu.config,
-                    ev.csr(),
-                    fleet.len() * self.config.shards_per_device.max(1),
-                    self.config.shard_policy,
-                    &mut self.partition_cache,
-                )
-                .map_err(ServeError::Invalid)?,
-            ),
-            None => None,
-        };
-        let x0 = vec![0.0f32; ev.csr().ncols];
-        let est = |run: SpmvRun| run.time.seconds;
-        let est_cost_s = [
-            match (&sharded, &self.fleet) {
-                (Some(sm), Some(fleet)) => sm.est_s(fleet.len()),
-                _ => f64::INFINITY,
-            },
-            est(spaden.try_run(&self.gpu, &x0).map_err(ServeError::Invalid)?),
-            est(scalar.try_run(&self.gpu, &x0).map_err(ServeError::Invalid)?),
-            est(csr_eng.try_run(&self.gpu, &x0).map_err(ServeError::Invalid)?),
-        ];
-        let ladder = planned_ladder(&MatrixStats::of(ev.csr()), &self.gpu.config);
-        let batch = self.batch_plan(ev.csr(), est_cost_s[Rung::SpadenChecked as usize])?;
-        let (nrows, ncols) = (ev.csr().nrows, ev.csr().ncols);
+        let (current, sharded) = self.build_evolved(&ev, None)?;
         // Recovery ends with a checkpoint: a fresh store snapshotted at
         // the recovered epoch with an empty log, so a second crash
         // recovers from here with zero replay.
         let store = DurableStore::create(&ev, policy);
         self.matrices.push(MatrixEntry {
-            current: Arc::new(PreparedMatrix {
-                nrows,
-                ncols,
-                spaden,
-                scalar,
-                csr: csr_eng,
-                sums,
-                est_cost_s,
-                ladder,
-                epoch: ev.epoch(),
-                side,
-                logical,
-                batch,
-            }),
+            current: Arc::new(current),
+            sharded,
+            fp: fingerprint(ev.csr()),
             evolving: Some(ev),
-            fp,
             store: Some(Box::new(store)),
         });
-        self.sharded.push(sharded);
         Ok(MatrixHandle(self.matrices.len() - 1))
     }
 
@@ -1114,7 +1110,8 @@ impl SpmvServer {
     /// [`SpmvServer::update`] with a seeded splice corruption (chaos
     /// hook). The evolve layer's post-update verification must turn the
     /// fault into [`ServeError::Update`] + rollback, never a published
-    /// bad epoch.
+    /// bad epoch. A snapshot that fails to build after the commit is
+    /// never published either; it surfaces as [`ServeError::Invalid`].
     pub fn update_with_fault(
         &mut self,
         h: MatrixHandle,
@@ -1156,107 +1153,46 @@ impl SpmvServer {
             store.maybe_snapshot(&ev);
         }
 
-        // Build the new epoch's snapshot off to the side. Every piece
-        // was verified by the evolve layer before the commit, so engine
-        // construction cannot fail on a published epoch.
-        let new_fp = fingerprint(ev.csr());
-        let spaden = SpadenEngine::try_from_parts(
-            &self.gpu,
-            ev.base().clone(),
-            ev.base_sums().clone(),
-            SpadenConfig::default(),
-        )
-        .expect("a verified epoch rebuilds the tensor-core engine");
-        let scalar = SpadenNoTcEngine::try_from_parts(&self.gpu, ev.base().clone())
-            .expect("a verified epoch rebuilds the scalar engine");
-        let csr_eng = CusparseCsrEngine::try_prepare(&self.gpu, ev.csr())
-            .expect("a verified epoch rebuilds the CSR engine");
-        let sums = CsrChecksums::build(ev.csr());
-        let side = ev.delta().side().to_vec();
-        let logical = (!side.is_empty()).then(|| ev.logical_sums().clone());
-
         // Fleet partition: a value-only update keeps the structure
         // digest, so the cached plan's block-row ranges and per-shard
         // estimates stay valid — only the checksums move, and those are
         // exact slices of the incrementally repaired logical sums
         // (bit-identical to a from-scratch build, see the evolve-layer
         // audit). Re-slice, insert under the new fingerprint, and let
-        // the cached-build path hit. Structural updates re-partition.
+        // the snapshot build's cached path hit. Structural updates
+        // re-partition.
+        let new_fp = fingerprint(ev.csr());
+        let value_only = report.class == DeltaClass::ValueOnly;
         let mut partition_resliced = false;
-        let mut repartitioned = false;
-        let sharded = match &self.fleet {
-            Some(fleet) => {
-                let nshards = fleet.len() * self.config.shards_per_device.max(1);
-                if report.class == DeltaClass::ValueOnly {
-                    let old_key = PartitionKey::new(&old_fp, &self.gpu.config, nshards);
-                    if let Some(plan) = self.partition_cache.get(&old_key) {
-                        let resliced = Arc::new(plan.resliced(ev.logical_sums()));
-                        let new_key = PartitionKey::new(&new_fp, &self.gpu.config, nshards);
-                        self.partition_cache.insert(new_key, resliced);
-                        partition_resliced = true;
-                    }
-                } else {
-                    repartitioned = true;
-                }
-                Some(
-                    ShardedMatrix::try_new_cached(
-                        &self.gpu.config,
-                        ev.csr(),
-                        nshards,
-                        self.config.shard_policy,
-                        &mut self.partition_cache,
-                    )
-                    .expect("a verified epoch repartitions"),
-                )
+        if let (Some(fleet), true) = (&self.fleet, value_only) {
+            let nshards = fleet.len() * self.config.shards_per_device.max(1);
+            let old_key = PartitionKey::new(&old_fp, &self.gpu.config, nshards);
+            if let Some(plan) = self.partition_cache.get(&old_key) {
+                let resliced = Arc::new(plan.resliced(ev.logical_sums()));
+                let new_key = PartitionKey::new(&new_fp, &self.gpu.config, nshards);
+                self.partition_cache.insert(new_key, resliced);
+                partition_resliced = true;
             }
-            None => None,
-        };
+        }
+        let repartitioned = self.fleet.is_some() && !value_only;
 
-        // Ladder order and per-rung cost estimates depend only on the
-        // structure (counter totals are value-independent), so a
-        // value-only update reuses both; a structural one re-derives
-        // them from the new structure.
-        let (ladder, est_cost_s) = if report.class == DeltaClass::ValueOnly {
-            (old_ladder, old_est)
-        } else {
-            let x0 = vec![0.0f32; ev.csr().ncols];
-            let est = |run: SpmvRun| run.time.seconds;
-            let est_cost_s = [
-                match (&sharded, &self.fleet) {
-                    (Some(sm), Some(fleet)) => sm.est_s(fleet.len()),
-                    _ => f64::INFINITY,
-                },
-                est(spaden.try_run(&self.gpu, &x0).expect("verified epoch runs")),
-                est(scalar.try_run(&self.gpu, &x0).expect("verified epoch runs")),
-                est(csr_eng.try_run(&self.gpu, &x0).expect("verified epoch runs")),
-            ];
-            (planned_ladder(&MatrixStats::of(ev.csr()), &self.gpu.config), est_cost_s)
-        };
+        // Build the new epoch's snapshot off to the side. Ladder order
+        // and per-rung cost estimates depend only on the structure
+        // (counter totals are value-independent), so a value-only update
+        // reuses both; a structural one re-prices the new structure.
+        let built = self.build_evolved(&ev, value_only.then_some((old_ladder, old_est)));
+        // The evolve layer has committed either way. A failed build
+        // leaves the previous snapshot serving and surfaces as a typed
+        // error.
+        let entry = &mut self.matrices[idx];
+        entry.evolving = Some(ev);
+        let (current, sharded) = built?;
 
         // Publish: swap the head snapshot. In-flight requests hold their
         // own Arc and finish on the epoch they were admitted on.
-        let batch = self
-            .batch_plan(ev.csr(), est_cost_s[Rung::SpadenChecked as usize])
-            .expect("a verified epoch rebuilds the SpMM engine");
-        let (nrows, ncols) = (ev.csr().nrows, ev.csr().ncols);
-        let entry = &mut self.matrices[idx];
-        entry.current = Arc::new(PreparedMatrix {
-            nrows,
-            ncols,
-            spaden,
-            scalar,
-            csr: csr_eng,
-            sums,
-            est_cost_s,
-            ladder,
-            epoch: ev.epoch(),
-            side,
-            logical,
-            batch,
-        });
+        entry.current = Arc::new(current);
+        entry.sharded = sharded;
         entry.fp = new_fp;
-        entry.evolving = Some(ev);
-        self.sharded[idx] = sharded;
         self.stats.updates += 1;
         Ok(UpdateOutcome { report, partition_resliced, repartitioned })
     }
@@ -1470,22 +1406,7 @@ impl SpmvServer {
             match self.open_queue.pop(self.clock_s) {
                 None => return false,
                 Some(Dequeued::Expired(entry, reason)) => {
-                    let v = entry.item;
-                    let wait = self.clock_s - v.arrival_s;
-                    self.stats.shed += 1;
-                    out[v.index] = Some(OpenOutcome {
-                        index: v.index,
-                        priority: v.priority,
-                        matrix: v.request.matrix,
-                        arrival_s: v.arrival_s,
-                        queue_wait_s: wait,
-                        done_s: self.clock_s,
-                        epoch: v.epoch,
-                        result: Err(ServeError::Shed(reason)),
-                    });
-                    // A dead-on-dequeue request spent its whole budget in
-                    // queue — strong overload evidence.
-                    self.overload.on_complete(wait);
+                    self.shed_open_slot(entry.item, reason, out);
                     continue;
                 }
                 Some(Dequeued::Ready(entry)) => {
@@ -1787,7 +1708,8 @@ impl SpmvServer {
                 // verified `y` plus the simulated seconds it cost.
                 let outcome: Result<(Vec<f32>, f64), EngineError> = if rung == Rung::Sharded {
                     let fleet = self.fleet.as_mut().expect("sharded rung requires a fleet");
-                    let sm = self.sharded[req.matrix.0]
+                    let sm = self.matrices[req.matrix.0]
+                        .sharded
                         .as_mut()
                         .expect("sharded form is built at registration");
                     match sm.execute(fleet, &req.x, Some(budget - spent)) {
@@ -2958,6 +2880,36 @@ mod tests {
         // And the recovered matrix keeps evolving.
         srv2.update(h2, &value_batch(&csr, 3, 0.5)).expect("recovered matrix commits");
         assert_eq!(srv2.epoch(h2), Some(4));
+    }
+
+    #[test]
+    fn recovery_rebuilds_the_snapshot_the_commit_path_published() {
+        // All three snapshot paths meet here: registration, a structural
+        // commit that re-prices the ladder, a value-only commit that
+        // reuses those costs, and a recovery that prices from scratch.
+        let (mut srv, h, csr) = durable_server();
+        srv.update(h, &new_block_batch(&csr, 4)).expect("structural commit");
+        let outcome = srv.update(h, &value_batch(&csr, 9, 2.0)).expect("value-only commit");
+        assert_eq!(outcome.report.class, DeltaClass::ValueOnly);
+        let image = srv.durable_image(h).expect("durable registration has an image");
+        let mut srv2 = SpmvServer::new(Gpu::new(GpuConfig::l40()), ServeConfig::default());
+        let (h2, _) = srv2
+            .recover_evolving(&image, spaden_store::SnapshotPolicy { snapshot_every: 2 })
+            .expect("clean image recovers");
+
+        let before = srv.matrices[h.0].current.clone();
+        let after = srv2.matrices[h2.0].current.clone();
+        assert_eq!(after.ladder, before.ladder);
+        assert_eq!(after.est_cost_s.map(f64::to_bits), before.est_cost_s.map(f64::to_bits));
+        assert_eq!((after.epoch, before.epoch), (2, 2));
+        assert!(!before.side.is_empty(), "fixture must leave a side tail");
+        assert_eq!(after.side, before.side);
+        let x = make_x(96);
+        let served = |s: &mut SpmvServer, h: MatrixHandle| {
+            let ok = s.serve(Request { matrix: h, x: x.clone(), deadline_s: None }).unwrap();
+            ok.y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(served(&mut srv2, h2), served(&mut srv, h));
     }
 
     #[test]

@@ -25,32 +25,51 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a hasher over little-endian words. FNV is chosen for
-/// determinism and zero dependencies, not collision resistance; the
-/// fingerprint combines four independent digests plus the raw dimensions,
-/// so an accidental collision must align across all of them at once.
+/// Incremental FNV-1a 64-bit hasher, the repository's one implementation:
+/// fingerprints, plan-cache keys, dataset streams and the determinism
+/// digests of the traffic and chaos layers all hash through it. Words
+/// are fed little-endian. FNV is chosen for determinism and zero
+/// dependencies, not collision resistance; the fingerprint combines four
+/// independent digests plus the raw dimensions, so an accidental
+/// collision must align across all of them at once.
 #[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Self {
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
 
+    /// Hashes `bytes` in order.
     #[inline]
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
+    /// Hashes the 8 little-endian bytes of `v`.
     #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64)
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes())
     }
 
-    fn finish(self) -> u64 {
+    /// Hashes the bit pattern of `v`.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits())
+    }
+
+    /// The digest of everything hashed so far.
+    pub fn finish(self) -> u64 {
         self.0
     }
 }
@@ -87,12 +106,12 @@ impl MatrixFingerprint {
     /// pattern, or values changes the key.
     pub fn key(&self) -> u64 {
         let mut h = Fnv::new();
-        h.write_u64(self.nrows as u64);
-        h.write_u64(self.ncols as u64);
-        h.write_u64(self.nnz as u64);
-        h.write_u64(self.degree_digest);
-        h.write_u64(self.structure_digest);
-        h.write_u64(self.values_digest);
+        h.u64(self.nrows as u64);
+        h.u64(self.ncols as u64);
+        h.u64(self.nnz as u64);
+        h.u64(self.degree_digest);
+        h.u64(self.structure_digest);
+        h.u64(self.values_digest);
         h.finish()
     }
 
@@ -114,27 +133,28 @@ impl MatrixFingerprint {
 /// Computes the fingerprint of `csr`. Deterministic: depends only on the
 /// matrix content (dimensions, `row_ptr`, `col_idx`, value bits).
 pub fn fingerprint(csr: &Csr) -> MatrixFingerprint {
+    // 32-bit words are widened to 64 bits before hashing.
     let mut structure = Fnv::new();
-    structure.write_u64(csr.nrows as u64);
-    structure.write_u64(csr.ncols as u64);
+    structure.u64(csr.nrows as u64);
+    structure.u64(csr.ncols as u64);
     for &p in &csr.row_ptr {
-        structure.write_u32(p);
+        structure.u64(u64::from(p));
     }
     for &c in &csr.col_idx {
-        structure.write_u32(c);
+        structure.u64(u64::from(c));
     }
 
     let mut values = Fnv::new();
     for &v in &csr.values {
-        values.write_u32(v.to_bits());
+        values.u64(u64::from(v.to_bits()));
     }
 
     let hist = degree_histogram(csr);
     let mut degrees = Fnv::new();
     let mut max_degree = 0usize;
     for &(bucket, count) in &hist {
-        degrees.write_u64(bucket as u64);
-        degrees.write_u64(count as u64);
+        degrees.u64(bucket as u64);
+        degrees.u64(count as u64);
     }
     for r in 0..csr.nrows {
         max_degree = max_degree.max(csr.row_nnz(r));
@@ -156,6 +176,23 @@ pub fn fingerprint(csr: &Csr) -> MatrixFingerprint {
 mod tests {
     use super::*;
     use crate::gen;
+
+    #[test]
+    fn fnv_matches_the_published_fnv1a_64_vectors() {
+        let digest = |s: &str| {
+            let mut h = Fnv::new();
+            h.bytes(s.as_bytes());
+            h.finish()
+        };
+        assert_eq!(digest(""), FNV_OFFSET);
+        assert_eq!(digest("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest("foobar"), 0x8594_4171_f739_67e8);
+        // Words hash as their little-endian bytes.
+        let (mut a, mut b) = (Fnv::new(), Fnv::new());
+        a.f64(1.5);
+        b.bytes(&1.5f64.to_bits().to_le_bytes());
+        assert_eq!(a.finish(), b.finish());
+    }
 
     #[test]
     fn identical_matrices_fingerprint_identically() {

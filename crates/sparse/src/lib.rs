@@ -57,7 +57,7 @@ pub use delta::{Delta, DeltaBatch, DeltaClass, UpdateError};
 pub use dense::Dense;
 pub use dia::Dia;
 pub use ell::Ell;
-pub use fingerprint::{fingerprint, MatrixFingerprint};
+pub use fingerprint::{fingerprint, Fnv, MatrixFingerprint};
 pub use hyb::Hyb;
 pub use rng::Pcg64;
 pub use sell::Sell;

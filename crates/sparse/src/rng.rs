@@ -6,6 +6,8 @@
 //! generator (O'Neill, 2014) instead of pulling in `rand`, whose default
 //! generators and APIs drift across versions.
 
+use crate::fingerprint::Fnv;
+
 /// PCG-XSL-RR 128/64: 128-bit LCG state, 64-bit xorshift-rotate output.
 ///
 /// Passes BigCrush; more than adequate for workload synthesis.
@@ -35,12 +37,9 @@ impl Pcg64 {
     /// its own independent stream.
     pub fn for_dataset(name: &str, seed: u64) -> Self {
         // FNV-1a over the name picks the stream.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Pcg64::new(seed, h)
+        let mut h = Fnv::new();
+        h.bytes(name.as_bytes());
+        Pcg64::new(seed, h.finish())
     }
 
     #[inline]

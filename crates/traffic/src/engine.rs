@@ -18,7 +18,7 @@ use spaden_serve::{
     ServeConfig, ServeError, ShedCounters, SpmvServer, PRIORITIES,
 };
 use spaden_sparse::rng::Pcg64;
-use spaden_sparse::{gen, Csr};
+use spaden_sparse::{gen, Csr, Fnv};
 
 /// The registered matrix working set. Fingerprints from the population's
 /// Zipf universe map onto this corpus round-robin, so popularity skew
@@ -267,13 +267,8 @@ impl TrafficSummary {
     /// FNV-1a digest over every count and latency bit pattern — two runs
     /// of the same config must produce equal digests.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv::new();
+        let mut mix = |v: u64| h.u64(v);
         mix(self.offered);
         for i in 0..PRIORITIES {
             mix(self.offered_by[i]);
@@ -311,7 +306,7 @@ impl TrafficSummary {
             mix(w.failed);
             mix(w.p99_s.to_bits());
         }
-        h
+        h.finish()
     }
 }
 
