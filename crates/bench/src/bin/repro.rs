@@ -202,33 +202,24 @@ fn main() {
             }
         }
         "serve" => {
-            // Fixed seeds: the sweep (and CI's chaos smoke job) must be
-            // reproducible run to run. Two profiles: uniform faults hit
-            // every rung (breaker trips, shedding, recovery once the burst
-            // passes), tensor-core-only faults spare the scalar/CSR rungs
-            // (failover keeps serving one rung down the ladder).
+            // Fixed seeds: the sweep must be reproducible run to run.
+            // Every cell is a single-family bit-burst schedule checked by
+            // the chaos oracle. Uniform bursts hit every rung (breaker
+            // trips, shedding, recovery once the burst passes);
+            // tensor-core-only bursts spare the scalar/CSR rungs and are
+            // absorbed by ABFT correction.
             let seeds = match args.seed {
                 Some(s) => vec![s, s.wrapping_add(12)],
                 None => vec![11, 23],
             };
-            let uniform = spaden_serve::ChaosConfig {
-                rates: vec![0.0, 1e-2, 5e-2, 2e-1],
-                profile: spaden_serve::FaultProfile::Uniform,
-                seeds: seeds.clone(),
-                requests_per_cell: 32,
-                ..spaden_serve::ChaosConfig::default()
-            };
-            let tc_only = spaden_serve::ChaosConfig {
-                rates: vec![2e-1, 1.0],
-                profile: spaden_serve::FaultProfile::TensorCoreOnly,
-                seeds,
-                requests_per_cell: 32,
-                ..spaden_serve::ChaosConfig::default()
-            };
             for gpu in &args.gpus {
-                for (label, cfg) in [("uniform", &uniform), ("tensor-core-only", &tc_only)] {
+                for (label, rates, tc_only) in [
+                    ("uniform", &spaden_bench::UNIFORM_RATES[..], false),
+                    ("tensor-core-only", &spaden_bench::TC_ONLY_RATES[..], true),
+                ] {
                     println!("\n### Fault profile: {label}");
-                    let (tables, verdict, _) = spaden_bench::serve_report(gpu, cfg);
+                    let (tables, verdict, _) =
+                        spaden_bench::serve_report(gpu, rates, &seeds, tc_only);
                     for t in tables {
                         println!("{t}");
                     }
@@ -367,17 +358,18 @@ fn main() {
             }
         }
         "shard" => {
-            // Fixed seed so CI's shard-chaos job is reproducible run to
-            // run. The sweep kills a device mid-stream, slows the whole
-            // fleet, and rolls hangs across it; the verdict line asserts
-            // the SLO (zero silently wrong, >= 90% availability under
-            // device loss, speculation beating no-speculation on p99).
-            let mut cfg = spaden_serve::DeviceChaosConfig::default();
-            if let Some(s) = args.seed {
-                cfg.seeds = vec![s, s.wrapping_add(12)];
-            }
+            // Fixed seed so the sweep is reproducible run to run. The
+            // device-failure profiles kill a device mid-stream, slow the
+            // whole fleet, and roll hangs across it, each a single-family
+            // schedule checked by the chaos oracle; the verdict line
+            // asserts the SLO (zero oracle violations, >= 90% availability
+            // under device loss, speculation beating no-speculation on p99).
+            let seeds = match args.seed {
+                Some(s) => vec![s, s.wrapping_add(12)],
+                None => vec![31],
+            };
             for gpu in &args.gpus {
-                let (tables, verdict, _) = spaden_bench::shard_report(gpu, &cfg);
+                let (tables, verdict, _) = spaden_bench::shard_report(gpu, &seeds);
                 for t in tables {
                     println!("{t}");
                 }

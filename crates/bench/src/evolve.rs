@@ -36,10 +36,10 @@ use spaden_serve::{
     OpenRequest, OverloadConfig, Priority, Request, ScheduledUpdate, ServeConfig, ServeError,
     SpmvServer, UpdateOutcome,
 };
-use spaden_sparse::delta::{apply_to_csr, classify, Delta, DeltaBatch, DeltaClass, UpdateError};
-use spaden_sparse::{gen, Csr, Pcg64};
-use spaden_traffic::{traffic_x, window_stats, Check};
-use std::collections::BTreeSet;
+use spaden_sparse::delta::{apply_to_csr, classify, DeltaClass, UpdateError};
+use spaden_sparse::gen::{self, structural_batch, value_only_batch};
+use spaden_sparse::{Csr, Pcg64};
+use spaden_traffic::{oracle_tol, traffic_x, window_stats, Check};
 
 /// Shape of one `repro evolve` run. Everything is seeded; two runs of
 /// the same scenario produce identical tables and verdicts.
@@ -136,63 +136,6 @@ struct EvolvePlan {
     expected_structural: u64,
 }
 
-fn occupied_blocks(csr: &Csr) -> BTreeSet<(u32, u32)> {
-    let mut s = BTreeSet::new();
-    for r in 0..csr.nrows {
-        let (cols, _) = csr.row(r);
-        for &c in cols {
-            s.insert((r as u32 / 8, c / 8));
-        }
-    }
-    s
-}
-
-/// `k` overwrites of existing entries with fresh values.
-pub(crate) fn value_only_batch(truth: &Csr, rng: &mut Pcg64, k: usize) -> DeltaBatch {
-    let mut deltas = Vec::new();
-    let mut seen = BTreeSet::new();
-    while deltas.len() < k {
-        let row = rng.below_usize(truth.nrows);
-        let (cols, _) = truth.row(row);
-        if cols.is_empty() {
-            continue;
-        }
-        let col = cols[rng.below_usize(cols.len())];
-        if seen.insert((row as u32, col)) {
-            deltas.push(Delta { row: row as u32, col, value: rng.range_f32(0.05, 1.0) });
-        }
-    }
-    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
-}
-
-/// New edges: `fresh` land in blocks the base format does not have yet
-/// (exercising the side buffer and, past the threshold, compaction) and
-/// `k - fresh` land at absent positions anywhere.
-pub(crate) fn structural_batch(truth: &Csr, rng: &mut Pcg64, k: usize, fresh: usize) -> DeltaBatch {
-    let occupied = occupied_blocks(truth);
-    let mut deltas = Vec::new();
-    let mut seen = BTreeSet::new();
-    let mut new_blocks = BTreeSet::new();
-    while new_blocks.len() < fresh {
-        let (br, bc) =
-            (rng.below_usize(truth.nrows / 8) as u32, rng.below_usize(truth.ncols / 8) as u32);
-        if !occupied.contains(&(br, bc)) && new_blocks.insert((br, bc)) {
-            let (row, col) = (br * 8 + rng.below_usize(8) as u32, bc * 8 + rng.below_usize(8) as u32);
-            seen.insert((row, col));
-            deltas.push(Delta { row, col, value: rng.range_f32(0.05, 1.0) });
-        }
-    }
-    while deltas.len() < k {
-        let row = rng.below_usize(truth.nrows) as u32;
-        let col = rng.below_usize(truth.ncols) as u32;
-        let (cols, _) = truth.row(row as usize);
-        if !cols.contains(&col) && seen.insert((row, col)) {
-            deltas.push(Delta { row, col, value: rng.range_f32(0.05, 1.0) });
-        }
-    }
-    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
-}
-
 /// Builds the seeded graph, the update schedule (regular cadence, one
 /// faulted batch mid-run, a storm cluster), and the epoch snapshot
 /// chain that serves as the read oracle.
@@ -248,13 +191,6 @@ fn build_plan(cfg: &EvolveScenario, matrix: spaden_serve::MatrixHandle) -> Evolv
         expected_value_only: value_only,
         expected_structural: structural,
     }
-}
-
-/// Per-row oracle tolerance for f16 tensor-core accumulation (mirrors
-/// the traffic engine's bound).
-pub(crate) fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
-    let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
-    (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
 }
 
 fn serve_config() -> ServeConfig {

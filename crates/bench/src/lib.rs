@@ -37,8 +37,8 @@ pub use planning::{plan_corpus, plan_report, PlanReport};
 pub use recover::{recover_report, recover_report_json, run_recover, RecoverReport, RecoverScenario};
 pub use registry::{build_engine, EngineKind, FIG6_ENGINES, FIG8_ENGINES};
 pub use sanitize::{sanitize_report, SanitizeReport};
-pub use serving::serve_report;
-pub use sharding::shard_report;
+pub use serving::{burst_schedule, serve_report, TC_ONLY_RATES, UNIFORM_RATES};
+pub use sharding::{device_schedules, shard_report};
 pub use table::Table;
 pub use traffic::traffic_report;
 pub use verdict::Verdict;

@@ -25,15 +25,15 @@
 //! printed *outside* the injection phase.
 
 use crate::verdict::Verdict;
-use crate::evolve::{oracle_tol, structural_batch, value_only_batch};
 use crate::Table;
 use spaden::{EvolveConfig, UpdateFault};
 use spaden_gpusim::{Gpu, GpuConfig};
 use spaden_serve::{MatrixHandle, Request, ServeConfig, SpmvServer};
 use spaden_sparse::delta::apply_to_csr;
-use spaden_sparse::{gen, Csr, Pcg64};
+use spaden_sparse::gen::{self, structural_batch, value_only_batch};
+use spaden_sparse::{Csr, Pcg64};
 use spaden_store::{append_record, inject, SnapshotPolicy, StorageFault, StoreImage, WalError};
-use spaden_traffic::{traffic_x, Check};
+use spaden_traffic::{oracle_tol, traffic_x, Check};
 use std::time::Instant;
 
 /// Shape of one `repro recover` run. Everything except the wall-clock

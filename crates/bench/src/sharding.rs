@@ -3,24 +3,44 @@
 //!
 //! Not a paper figure — it certifies the fleet-level availability story:
 //! latency scaling with device count, straggler speculation beating
-//! no-speculation on tail latency, the device-failure chaos profiles
-//! (one device killed mid-stream, all devices slow, rolling hangs), and
-//! per-device health counters. The verdict line asserts the SLO: every
-//! request verified-or-typed-error, zero silent wrong answers, ≥ 90%
-//! availability with a device killed mid-stream, and speculation
-//! improving straggler p99.
+//! no-speculation on tail latency, the device-failure profiles (one
+//! device killed mid-stream, all devices slow, rolling hangs), and
+//! per-device health counters. Each device-failure profile is a
+//! single-family [`ChaosSchedule`] run through [`run_schedule`] and its
+//! invariant oracle. The verdict line asserts the SLO: zero oracle
+//! violations, ≥ 90% availability with a device killed mid-stream, and
+//! speculation improving straggler p99.
 
+use crate::serving::single_family;
 use crate::verdict::Verdict;
 use crate::Table;
-use spaden::gpusim::{DeviceFaultConfig, GpuConfig};
+use spaden::gpusim::{DeviceCounters, DeviceFaultConfig, GpuConfig};
 use spaden::sparse::gen;
-use spaden_serve::{
-    device_chaos_sweep, percentile, DeviceChaosConfig, DeviceChaosReport, DeviceProfile, Rung,
-};
+use spaden_chaos::{run_schedule, ChaosProfile, ChaosSchedule, FaultEvent, ScenarioOutcome};
+use spaden_serve::{percentile, Rung, Weaken};
 use spaden_shard::{DeviceFleet, ShardPolicy, ShardedMatrix};
+use spaden_traffic::traffic_x;
 
-fn shard_x(ncols: usize, salt: usize) -> Vec<f32> {
-    (0..ncols).map(|i| ((i * 131 + salt * 977 + 29) % 256) as f32 / 128.0 - 1.0).collect()
+/// The device-failure profiles of `repro shard` for `seed`, in report
+/// order: device 1 killed at 40% of the horizon, every device
+/// straggling 60% of its launches over the first 40%, and every device
+/// hanging 25% of its launches over the first 40%.
+pub fn device_schedules(seed: u64) -> [(&'static str, ChaosSchedule); 3] {
+    let until_s = 0.4 * ChaosProfile::default().duration_s;
+    let floor = ChaosProfile::default().high_floor;
+    let burst = |hang: f64, straggle: f64| FaultEvent::DeviceBurst {
+        from_s: 0.0,
+        until_s,
+        crash: 0.0,
+        hang,
+        straggle,
+    };
+    let kill = FaultEvent::KillDevice { at_s: until_s, device: 1 };
+    [
+        ("kill-one", single_family(seed, floor, vec![kill])),
+        ("all-slow", single_family(seed, floor, vec![burst(0.0, 0.6)])),
+        ("rolling-hangs", single_family(seed, floor, vec![burst(0.25, 0.0)])),
+    ]
 }
 
 /// Runs `requests` sharded executions and returns their latencies.
@@ -33,7 +53,7 @@ fn run_stream(
     (0..requests)
         .map(|salt| {
             let run = m
-                .execute(fleet, &shard_x(ncols, salt), None)
+                .execute(fleet, &traffic_x(ncols, salt), None)
                 .expect("stream profiles are survivable");
             run.elapsed_s
         })
@@ -105,34 +125,36 @@ fn speculation_table(gpu: &GpuConfig) -> (Table, bool) {
     (t, p99s[0] < p99s[1])
 }
 
-/// The device-failure chaos profiles through the serving ladder.
-fn chaos_table(gpu: &GpuConfig, report: &DeviceChaosReport) -> Table {
+/// The device-failure profiles through the serving ladder.
+fn chaos_table(gpu: &GpuConfig, cells: &[(&str, u64, ScenarioOutcome)]) -> Table {
     let mut t = Table::new(
         format!("Device-failure chaos profiles ({})", gpu.name),
         &[
             "profile", "seed", "reqs", "sharded", "1-dev", "failed", "lost", "retries", "hangs",
-            "straggle", "spec", "wins", "wrong", "p50 us", "p99 us",
+            "straggle", "spec", "wins", "violations", "p50 us", "p99 us",
         ],
     );
-    for c in &report.cells {
-        let single_dev: u64 =
-            c.served.iter().sum::<u64>() - c.served[Rung::Sharded as usize];
+    for (name, seed, o) in cells {
+        let sharded = o.stats.served[Rung::Sharded as usize];
+        let sum = |f: fn(&DeviceCounters) -> u64| -> u64 {
+            o.devices.iter().map(f).sum()
+        };
         t.push_row(vec![
-            c.profile.name().to_string(),
-            c.seed.to_string(),
-            c.submitted.to_string(),
-            c.served[Rung::Sharded as usize].to_string(),
-            single_dev.to_string(),
-            c.failed.to_string(),
-            c.devices_lost.to_string(),
-            c.retries.to_string(),
-            c.hangs.to_string(),
-            c.stragglers.to_string(),
-            c.speculative_launches.to_string(),
-            c.speculative_wins.to_string(),
-            c.silent_wrong.to_string(),
-            Table::num(c.p50_s * 1e6),
-            Table::num(c.p99_s * 1e6),
+            name.to_string(),
+            seed.to_string(),
+            o.offered.to_string(),
+            sharded.to_string(),
+            (o.served as u64 - sharded).to_string(),
+            (o.offered - o.served).to_string(),
+            o.devices.iter().filter(|c| c.crashed).count().to_string(),
+            sum(|c| c.retries).to_string(),
+            sum(|c| c.hangs).to_string(),
+            sum(|c| c.stragglers).to_string(),
+            sum(|c| c.speculative_launches).to_string(),
+            sum(|c| c.speculative_wins).to_string(),
+            o.violations.len().to_string(),
+            Table::num(o.stats.p50_s() * 1e6),
+            Table::num(o.stats.p99_s() * 1e6),
         ]);
     }
     t
@@ -154,7 +176,7 @@ fn health_table(gpu: &GpuConfig) -> Table {
     for salt in 0..40 {
         // Survivable failures are part of the profile; whole-fleet loss
         // is not expected at these rates.
-        let _ = m.execute(&mut fleet, &shard_x(csr.ncols, salt), None);
+        let _ = m.execute(&mut fleet, &traffic_x(csr.ncols, salt), None);
     }
     let mut t = Table::new(
         format!("Per-device health after mixed-fault stream ({})", gpu.name),
@@ -182,31 +204,45 @@ fn health_table(gpu: &GpuConfig) -> Table {
     t
 }
 
-/// Runs the full `repro shard` experiment: scaling, speculation,
-/// device chaos, and per-device health, with a one-line SLO verdict.
-pub fn shard_report(gpu: &GpuConfig, cfg: &DeviceChaosConfig) -> (Vec<Table>, Verdict, DeviceChaosReport) {
+/// Runs the full `repro shard` experiment: scaling, speculation, the
+/// device-failure profiles for every seed, and per-device health, with
+/// a one-line SLO verdict. Returns the profiles' outcomes in report
+/// order (profiles outer, seeds inner).
+pub fn shard_report(
+    gpu: &GpuConfig,
+    seeds: &[u64],
+) -> (Vec<Table>, Verdict, Vec<ScenarioOutcome>) {
     let scaling = scaling_table(gpu);
     let (speculation, spec_beats) = speculation_table(gpu);
-    let report = device_chaos_sweep(gpu, cfg);
-    let chaos = chaos_table(gpu, &report);
+    let per_seed: Vec<_> = seeds.iter().map(|&seed| (seed, device_schedules(seed))).collect();
+    let mut cells = Vec::new();
+    for i in 0..3 {
+        for (seed, schedules) in &per_seed {
+            let (name, sched) = &schedules[i];
+            cells.push((*name, *seed, run_schedule(gpu, sched, Weaken::None)));
+        }
+    }
+    let chaos = chaos_table(gpu, &cells);
     let health = health_table(gpu);
 
-    let kill_rate = report
-        .cells
+    let violations: usize = cells.iter().map(|(_, _, o)| o.violations.len()).sum();
+    let kill_rate = cells
         .iter()
-        .filter(|c| c.profile == DeviceProfile::KillOneMidBatch)
-        .map(|c| c.success_rate())
+        .filter(|(name, _, _)| *name == "kill-one")
+        .map(|(_, _, o)| o.served as f64 / o.offered.max(1) as f64)
         .fold(1.0f64, f64::min);
-    let verdict = Verdict::new(report.slo_holds() && spec_beats, format!(
-        "SLO {}: {} requests, {} silently wrong, {:.1}% served with a device killed mid-stream, \
+    let held = violations == 0 && kill_rate >= 0.9 && spec_beats;
+    let verdict = Verdict::new(held, format!(
+        "SLO {}: {} requests, {} oracle violations, {:.1}% served with a device killed mid-stream, \
          speculation {} no-speculation on straggler p99",
-        if report.slo_holds() && spec_beats { "HELD" } else { "VIOLATED" },
-        report.submitted(),
-        report.silent_wrong(),
+        if held { "HELD" } else { "VIOLATED" },
+        cells.iter().map(|(_, _, o)| o.offered).sum::<usize>(),
+        violations,
         kill_rate * 100.0,
         if spec_beats { "beats" } else { "misses" },
     ));
-    (vec![scaling, speculation, chaos, health], verdict, report)
+    let outcomes = cells.into_iter().map(|(_, _, o)| o).collect();
+    (vec![scaling, speculation, chaos, health], verdict, outcomes)
 }
 
 #[cfg(test)]
@@ -215,17 +251,14 @@ mod tests {
 
     #[test]
     fn shard_report_renders_and_slo_holds() {
-        let cfg = DeviceChaosConfig {
-            requests_per_cell: 208,
-            ..DeviceChaosConfig::default()
-        };
-        let (tables, verdict, report) = shard_report(&GpuConfig::l40(), &cfg);
+        let (tables, verdict, outcomes) = shard_report(&GpuConfig::l40(), &[31]);
         assert_eq!(tables.len(), 4);
-        assert_eq!(report.cells.len(), 3);
+        assert_eq!(outcomes.len(), 3);
         assert!(verdict.pass, "{verdict}");
         assert!(verdict.line.starts_with("SLO HELD"), "{verdict}");
         let rendered = tables[0].to_string();
         assert!(rendered.contains("device count"));
+        assert!(tables[2].to_string().contains("kill-one"));
         assert!(tables[3].to_string().contains("Per-device health"));
     }
 }

@@ -22,17 +22,17 @@ use crate::schedule::{ChaosSchedule, FaultEvent};
 use crate::SHARD_DEVICES;
 use spaden::{EvolveConfig, UpdateFault};
 use spaden_gpusim::{
-    DeviceFaultConfig, FaultConfig, Gpu, GpuConfig, InjectionConfig, SanConfig,
+    DeviceCounters, DeviceFaultConfig, FaultConfig, Gpu, GpuConfig, InjectionConfig, SanConfig,
 };
 use spaden_serve::{
     BatchConfig, OpenOutcome, OpenRequest, OverloadConfig, Priority, Request, ScheduledUpdate,
-    ServeConfig, ServeError, SpmvServer, UpdateOutcome, Weaken,
+    ServeConfig, ServeError, ServeStats, SpmvServer, UpdateOutcome, Weaken,
 };
-use spaden_sparse::delta::{apply_to_csr, Delta, DeltaBatch, UpdateError};
-use spaden_sparse::{fingerprint, gen, Csr, Fnv, Pcg64};
+use spaden_sparse::delta::{apply_to_csr, UpdateError};
+use spaden_sparse::gen::{self, structural_batch, value_only_batch};
+use spaden_sparse::{fingerprint, Csr, Fnv, Pcg64};
 use spaden_store::{inject, SnapshotPolicy, StorageFault, WalError};
-use spaden_traffic::traffic_x;
-use std::collections::BTreeSet;
+use spaden_traffic::{oracle_tol, traffic_x};
 
 /// Matrix dimension of the evolving scenario graph.
 const NODES: usize = 96;
@@ -84,66 +84,14 @@ pub struct ScenarioOutcome {
     pub rollbacks: u64,
     /// Crash-point recovery audits performed.
     pub crash_checks: Vec<CrashCheck>,
-}
-
-/// `k` overwrites of existing entries with fresh values (mirrors the
-/// evolve experiment's generator).
-fn value_only_batch(truth: &Csr, rng: &mut Pcg64, k: usize) -> DeltaBatch {
-    let mut deltas = Vec::new();
-    let mut seen = BTreeSet::new();
-    while deltas.len() < k {
-        let row = rng.below_usize(truth.nrows);
-        let (cols, _) = truth.row(row);
-        if cols.is_empty() {
-            continue;
-        }
-        let col = cols[rng.below_usize(cols.len())];
-        if seen.insert((row as u32, col)) {
-            deltas.push(Delta { row: row as u32, col, value: rng.range_f32(0.05, 1.0) });
-        }
-    }
-    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
-}
-
-/// `k` new edges, `fresh` of them in blocks the base format lacks (so
-/// the side buffer and, past the threshold, compaction are exercised).
-fn structural_batch(truth: &Csr, rng: &mut Pcg64, k: usize, fresh: usize) -> DeltaBatch {
-    let mut occupied = BTreeSet::new();
-    for r in 0..truth.nrows {
-        let (cols, _) = truth.row(r);
-        for &c in cols {
-            occupied.insert((r as u32 / 8, c / 8));
-        }
-    }
-    let mut deltas = Vec::new();
-    let mut seen = BTreeSet::new();
-    let mut new_blocks = BTreeSet::new();
-    while new_blocks.len() < fresh {
-        let (br, bc) =
-            (rng.below_usize(truth.nrows / 8) as u32, rng.below_usize(truth.ncols / 8) as u32);
-        if !occupied.contains(&(br, bc)) && new_blocks.insert((br, bc)) {
-            let (row, col) =
-                (br * 8 + rng.below_usize(8) as u32, bc * 8 + rng.below_usize(8) as u32);
-            seen.insert((row, col));
-            deltas.push(Delta { row, col, value: rng.range_f32(0.05, 1.0) });
-        }
-    }
-    while deltas.len() < k {
-        let row = rng.below_usize(truth.nrows) as u32;
-        let col = rng.below_usize(truth.ncols) as u32;
-        let (cols, _) = truth.row(row as usize);
-        if !cols.contains(&col) && seen.insert((row, col)) {
-            deltas.push(Delta { row, col, value: rng.range_f32(0.05, 1.0) });
-        }
-    }
-    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
-}
-
-/// Per-row oracle tolerance for f16 tensor-core accumulation (the bound
-/// the traffic and evolve experiments verify against).
-fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
-    let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
-    (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
+    /// The server's closing statistics (per-rung served counts, typed
+    /// failures, served-latency percentiles).
+    pub stats: ServeStats,
+    /// Breaker trips and recoveries summed over the ladder's rungs.
+    pub breakers: (u64, u64),
+    /// Per-device counters of the sharded rung's fleet at the end of
+    /// the run (crashes, hangs, stragglers, speculation).
+    pub devices: Vec<DeviceCounters>,
 }
 
 fn serve_config(weaken: Weaken) -> ServeConfig {
@@ -550,6 +498,9 @@ pub fn run_schedule(gpu: &GpuConfig, sched: &ChaosSchedule, weaken: Weaken) -> S
         commits,
         rollbacks,
         crash_checks,
+        stats: stats.clone(),
+        breakers: server.breaker_totals(),
+        devices: server.fleet().map_or_else(Vec::new, |f| f.counters()),
     }
 }
 

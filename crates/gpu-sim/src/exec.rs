@@ -7,9 +7,10 @@
 //! instruction counting. Warps run across a fixed number of L2 *shards* —
 //! contiguous warp ranges sharing one slice of the L2 model, executed in
 //! parallel when the `parallel` feature is on — so results and counters
-//! are deterministic regardless of the host thread count (the one
-//! exception is the float-accumulation order of cross-warp atomics, as on
-//! real hardware).
+//! are deterministic regardless of the host thread count. Float atomics
+//! do not commute bit for bit, so in parallel builds a shard applies its
+//! first atomic only after every earlier shard has finished: atomics land
+//! in the serial warp order, and outputs match the serial build exactly.
 
 use crate::config::GpuConfig;
 use crate::counters::KernelCounters;
@@ -20,6 +21,10 @@ use crate::memory::{
 };
 use crate::san::{self, SanCtx, SanReport, ShadowState};
 use spaden_sparse::par;
+#[cfg(feature = "parallel")]
+use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(feature = "parallel")]
+use std::sync::Arc;
 
 /// Threads per warp.
 pub const WARP_SIZE: usize = 32;
@@ -133,7 +138,13 @@ impl Gpu {
         // lock-free and the hot path stays untouched when it is off.
         let san_cfg = self.config.san;
         let san_allocs = self.shadow.as_ref().map(|sh| sh.snapshot());
+        #[cfg(feature = "parallel")]
+        let done: Arc<[AtomicBool]> = (0..SHARDS).map(|_| AtomicBool::new(false)).collect();
         let results = par::map_indexed(SHARDS, |s| {
+            // Marks the shard finished even when its kernel panics, so
+            // later shards never wait on it forever.
+            #[cfg(feature = "parallel")]
+            let _finished = ShardFinished(&done[s]);
             let lo = nwarps * s / SHARDS;
             let hi = nwarps * (s + 1) / SHARDS;
             let mut ctx = WarpCtx {
@@ -144,6 +155,8 @@ impl Gpu {
                 scratch: Vec::with_capacity(64),
                 injector: None,
                 san: san_allocs.as_ref().map(|a| SanCtx::new(san_cfg, a.clone())),
+                #[cfg(feature = "parallel")]
+                atomic_turn: Some((s, Arc::clone(&done))),
             };
             for w in lo..hi {
                 ctx.warp_id = w;
@@ -183,6 +196,17 @@ impl Gpu {
     }
 }
 
+/// Sets a shard's finished flag when dropped.
+#[cfg(feature = "parallel")]
+struct ShardFinished<'a>(&'a AtomicBool);
+
+#[cfg(feature = "parallel")]
+impl Drop for ShardFinished<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 /// Per-warp execution context: the only way kernels touch device memory,
 /// so every access is coalesced, cached and counted.
 pub struct WarpCtx {
@@ -196,6 +220,10 @@ pub struct WarpCtx {
     scratch: Vec<u64>,
     injector: Option<FaultInjector>,
     san: Option<SanCtx>,
+    // This shard's index and every shard's finished flag, until the
+    // shard's first atomic has waited for all earlier shards.
+    #[cfg(feature = "parallel")]
+    atomic_turn: Option<(usize, Arc<[AtomicBool]>)>,
 }
 
 impl WarpCtx {
@@ -564,6 +592,12 @@ impl WarpCtx {
                 }
             }
         }
+        #[cfg(feature = "parallel")]
+        if let Some((shard, done)) = self.atomic_turn.take() {
+            while !done[..shard].iter().all(|d| d.load(Ordering::Acquire)) {
+                std::thread::yield_now();
+            }
+        }
         for (lane, w) in writes.iter().enumerate() {
             let Some(w) = w else { continue };
             if (w.0 as usize) >= out.len() {
@@ -852,6 +886,27 @@ mod tests {
         });
         assert_eq!(c.atomic_ops, 64);
         assert_eq!(out.load(1), 64.0);
+    }
+
+    #[test]
+    fn float_atomics_land_in_warp_order_under_any_threading() {
+        // Magnitudes spanning 2^0..2^24 make the f32 sum depend on the
+        // order of the adds; the result must equal the warp-order fold.
+        let term = |w: usize| {
+            let sign = if w.is_multiple_of(3) { -1.0 } else { 1.0 };
+            sign * (1u32 << (w % 25)) as f32
+        };
+        for _ in 0..8 {
+            let g = gpu();
+            let out = g.alloc_output(1);
+            g.launch(512, |ctx| {
+                let mut w = [None; WARP_SIZE];
+                w[0] = Some((0u32, term(ctx.warp_id)));
+                ctx.atomic_add(&out, &w);
+            });
+            let serial = (0..512).fold(0.0f32, |acc, w| acc + term(w));
+            assert_eq!(out.load(0).to_bits(), serial.to_bits());
+        }
     }
 
     #[test]

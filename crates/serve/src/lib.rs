@@ -40,12 +40,10 @@
 //! * [`checksum`] — [`CsrChecksums`], f32 block-row checksums so the CSR
 //!   rung is held to the same verified-or-rejected standard as the ABFT
 //!   rungs.
-//! * [`chaos`] — [`chaos_sweep`], the fault-rate × seed harness behind
-//!   `repro serve`, certifying the no-silent-wrong-answer SLO.
-//! * [`device_chaos`] — [`device_chaos_sweep`], fleet-level failure
-//!   profiles (kill one device mid-stream, all devices slow, rolling
-//!   hangs) behind `repro shard`, certifying the same SLO plus a ≥ 90%
-//!   availability bar under device loss.
+//!
+//! The fault sweeps behind `repro serve` and `repro shard` live in
+//! `spaden-chaos`: single-family schedules run through its orchestrator
+//! and checked by its invariant oracle.
 //!
 //! # Quickstart
 //!
@@ -64,18 +62,12 @@
 //! ```
 
 pub mod breaker;
-pub mod chaos;
 pub mod checksum;
-pub mod device_chaos;
 pub mod overload;
 pub mod queue;
 pub mod server;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::{chaos_sweep, CellReport, ChaosConfig, ChaosReport, FaultProfile};
-pub use device_chaos::{
-    device_chaos_sweep, DeviceCellReport, DeviceChaosConfig, DeviceChaosReport, DeviceProfile,
-};
 pub use checksum::CsrChecksums;
 pub use overload::{percentile, BrownoutMode, OverloadConfig, OverloadController, OverloadStats};
 pub use queue::{

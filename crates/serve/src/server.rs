@@ -74,7 +74,7 @@ use spaden::{
 };
 use spaden_baselines::CusparseCsrEngine;
 use spaden_gpusim::half::F16;
-use spaden_gpusim::{DeviceFaultConfig, FaultConfig, Gpu, GpuConfig, InjectionConfig};
+use spaden_gpusim::{DeviceFaultConfig, Gpu, GpuConfig, InjectionConfig};
 use spaden_plan::{predict_spmm_time, predict_time, EngineKind, MatrixStats};
 use spaden_shard::{
     DeviceFleet, PartitionCache, PartitionCacheStats, PartitionKey, ShardError, ShardPolicy,
@@ -208,7 +208,24 @@ pub enum Weaken {
     SkipCsrVerify,
 }
 
+/// Attempts per ladder rung (1 = no retry) before the ladder descends.
+const ATTEMPTS_PER_RUNG: u32 = 2;
+/// First retry backoff (simulated seconds); doubles per subsequent
+/// retry on the same rung.
+const BACKOFF_BASE_S: f64 = 1e-6;
+/// Simulated inter-arrival tick added per served request. Keeps the
+/// clock advancing even when every rung is skipped, so open breakers
+/// always cool down eventually (the breaker cooldown is sized to it).
+const ARRIVAL_INTERVAL_S: f64 = 3e-6;
+/// Shards requested per fleet device when a registered matrix is
+/// partitioned for the sharded rung.
+const SHARDS_PER_DEVICE: usize = 2;
+
 /// Serving policy knobs. All times are simulated seconds.
+///
+/// Per-rung breakers use [`BreakerConfig::default`] and the sharded
+/// rung's scheduler [`ShardPolicy::default`]; its fleet starts without
+/// device faults ([`SpmvServer::set_injection`] arms them).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission-queue capacity; a batch overflowing it is rejected with
@@ -216,26 +233,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Deadline budget for requests that do not carry their own.
     pub default_deadline_s: f64,
-    /// Attempts per rung (1 = no retry) before descending the ladder.
-    pub attempts_per_rung: u32,
-    /// First retry backoff; doubles per subsequent retry on the same rung.
-    pub backoff_base_s: f64,
-    /// Simulated inter-arrival time added per served request. Keeps the
-    /// clock advancing even when every rung is skipped, so open breakers
-    /// always cool down eventually.
-    pub arrival_interval_s: f64,
-    /// Per-rung circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
     /// Devices in the sharded rung's fleet. `0` disables the rung
     /// entirely (the default — single-device serving is unchanged).
     pub shard_devices: usize,
-    /// Shards requested per device when partitioning a registered
-    /// matrix for the sharded rung.
-    pub shards_per_device: usize,
-    /// Retry/timeout/speculation policy of the shard scheduler.
-    pub shard_policy: ShardPolicy,
-    /// Device-level fault rates of the fleet (crash/hang/straggler).
-    pub device_faults: DeviceFaultConfig,
     /// Overload-control policy of the open-loop path (adaptive
     /// concurrency limit + brownout ladder). Disabled by default — the
     /// closed-loop paths and a disabled controller are bit-identical to
@@ -255,19 +255,11 @@ impl Default for ServeConfig {
     fn default() -> Self {
         // Scaled to the simulator's 3 µs launch overhead: a default
         // deadline of 500 µs admits the full ladder with retries on the
-        // evaluation-scale matrices; the breaker cools down after ~30
-        // requests' worth of arrivals.
+        // evaluation-scale matrices.
         ServeConfig {
             queue_capacity: 64,
             default_deadline_s: 500e-6,
-            attempts_per_rung: 2,
-            backoff_base_s: 1e-6,
-            arrival_interval_s: 3e-6,
-            breaker: BreakerConfig::default(),
             shard_devices: 0,
-            shards_per_device: 2,
-            shard_policy: ShardPolicy::default(),
-            device_faults: DeviceFaultConfig::disabled(),
             overload: OverloadConfig::default(),
             batch: BatchConfig::default(),
             weaken: Weaken::None,
@@ -713,11 +705,11 @@ struct OpenSlot {
 impl SpmvServer {
     /// A server over `gpu` with the given policy.
     pub fn new(gpu: Gpu, config: ServeConfig) -> Self {
-        let breakers =
-            [0; RUNGS].map(|_| CircuitBreaker::new(config.breaker));
+        let breakers = [0; RUNGS].map(|_| CircuitBreaker::new(BreakerConfig::default()));
         let queue = BoundedQueue::new(config.queue_capacity);
-        let fleet = (config.shard_devices > 0)
-            .then(|| DeviceFleet::new(config.shard_devices, &gpu.config, config.device_faults));
+        let fleet = (config.shard_devices > 0).then(|| {
+            DeviceFleet::new(config.shard_devices, &gpu.config, DeviceFaultConfig::disabled())
+        });
         let open_queue = AdmissionQueue::new(config.queue_capacity);
         let overload = OverloadController::new(config.overload);
         SpmvServer {
@@ -740,27 +732,19 @@ impl SpmvServer {
         &self.gpu
     }
 
-    /// Replaces the GPU's fault configuration (chaos harness hook: fault
-    /// bursts start and stop on a live server). Applies to the
-    /// single-device ladder and every fleet device (each re-derives its
-    /// own seed).
-    pub fn set_fault_config(&mut self, faults: FaultConfig) {
-        self.gpu.config.faults = faults;
-        if let Some(fleet) = &mut self.fleet {
-            fleet.set_bit_faults(faults);
-        }
-    }
-
     /// Atomically applies all three injection planes — kernel bit
     /// faults, device failure processes, sanitizer arming — at one
-    /// simulated-time boundary (the chaos orchestrator's segment swap).
-    /// Equivalent to calling [`SpmvServer::set_fault_config`] and
-    /// [`SpmvServer::set_device_faults`] and setting the sanitizer
-    /// state, in one step.
+    /// simulated-time boundary (fault bursts start and stop on a live
+    /// server). Bit faults reach the single-device ladder and every
+    /// fleet device (each re-derives its own seed); device faults reach
+    /// the fleet, when one is configured.
     pub fn set_injection(&mut self, inj: &InjectionConfig) {
         self.gpu.config.san = inj.san;
-        self.set_fault_config(inj.faults);
-        self.set_device_faults(inj.device);
+        self.gpu.config.faults = inj.faults;
+        if let Some(fleet) = &mut self.fleet {
+            fleet.set_bit_faults(inj.faults);
+            fleet.set_faults(inj.device);
+        }
     }
 
     /// The sharded rung's fleet, when one is configured.
@@ -773,14 +757,6 @@ impl SpmvServer {
     pub fn kill_device(&mut self, id: usize) {
         if let Some(fleet) = &mut self.fleet {
             fleet.kill(id);
-        }
-    }
-
-    /// Replaces the fleet's device-level fault configuration (chaos
-    /// profiles start and stop bursts mid-stream). No-op without a fleet.
-    pub fn set_device_faults(&mut self, faults: DeviceFaultConfig) {
-        if let Some(fleet) = &mut self.fleet {
-            fleet.set_faults(faults);
         }
     }
 
@@ -865,8 +841,8 @@ impl SpmvServer {
                 ShardedMatrix::try_new_cached(
                     &self.gpu.config,
                     csr,
-                    fleet.len() * self.config.shards_per_device.max(1),
-                    self.config.shard_policy,
+                    fleet.len() * SHARDS_PER_DEVICE,
+                    ShardPolicy::default(),
                     &mut self.partition_cache,
                 )
                 .map_err(ServeError::Invalid)?,
@@ -1165,7 +1141,7 @@ impl SpmvServer {
         let value_only = report.class == DeltaClass::ValueOnly;
         let mut partition_resliced = false;
         if let (Some(fleet), true) = (&self.fleet, value_only) {
-            let nshards = fleet.len() * self.config.shards_per_device.max(1);
+            let nshards = fleet.len() * SHARDS_PER_DEVICE;
             let old_key = PartitionKey::new(&old_fp, &self.gpu.config, nshards);
             if let Some(plan) = self.partition_cache.get(&old_key) {
                 let resliced = Arc::new(plan.resliced(ev.logical_sums()));
@@ -1582,7 +1558,7 @@ impl SpmvServer {
         // member sees its response.
         let w = slots.len();
         let popped_at = self.clock_s;
-        self.clock_s += self.config.arrival_interval_s;
+        self.clock_s += ARRIVAL_INTERVAL_S;
         let b = Dense::from_fn(m.ncols, w, |r, j| slots[j].request.x[r]);
         let r = Rung::SpadenChecked as usize;
         self.stats.attempts[r] += 1;
@@ -1655,7 +1631,7 @@ impl SpmvServer {
         state: Option<Arc<PreparedMatrix>>,
         req: Request,
     ) -> Result<ServedOk, ServeError> {
-        self.clock_s += self.config.arrival_interval_s;
+        self.clock_s += ARRIVAL_INTERVAL_S;
         let Some(m) = state else {
             self.stats.invalid += 1;
             return Err(ServeError::UnknownMatrix(req.matrix.0));
@@ -1764,12 +1740,12 @@ impl SpmvServer {
                         }
                         last_err = Some(e);
                         attempt_on_rung += 1;
-                        if attempt_on_rung >= self.config.attempts_per_rung
+                        if attempt_on_rung >= ATTEMPTS_PER_RUNG
                             || self.breakers[r].state() == BreakerState::Open
                         {
                             break;
                         }
-                        let backoff = self.config.backoff_base_s
+                        let backoff = BACKOFF_BASE_S
                             * f64::from(1u32 << (attempt_on_rung - 1).min(16));
                         spent += backoff;
                         self.clock_s += backoff;
@@ -1864,7 +1840,7 @@ impl SpmvServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spaden_gpusim::GpuConfig;
+    use spaden_gpusim::{FaultConfig, GpuConfig};
     use spaden_sparse::gen;
 
     fn make_x(n: usize) -> Vec<f32> {
@@ -2441,9 +2417,9 @@ mod tests {
         // repairs it, so sweeps keep serving verified answers — the
         // paper's ABFT story, observed through the batching window.
         let (mut srv, h, csr) = batched_server(BatchConfig::on());
-        srv.set_fault_config(FaultConfig {
-            fragment_corrupt_rate: 1.0,
-            ..FaultConfig::disabled()
+        srv.set_injection(&InjectionConfig {
+            faults: FaultConfig { fragment_corrupt_rate: 1.0, ..FaultConfig::disabled() },
+            ..InjectionConfig::none()
         });
         let arrivals: Vec<OpenRequest> =
             (0..16).map(|_| open(h, Priority::Normal, 0.0, 10.0)).collect();
@@ -2469,7 +2445,10 @@ mod tests {
         // Members must be re-served individually through the rung walk;
         // under full-rate injection that walk also fails — but with typed
         // errors, never an unverified Ok.
-        srv.set_fault_config(FaultConfig { mem_bit_flip_rate: 1.0, ..FaultConfig::disabled() });
+        srv.set_injection(&InjectionConfig {
+            faults: FaultConfig { mem_bit_flip_rate: 1.0, ..FaultConfig::disabled() },
+            ..InjectionConfig::none()
+        });
         let arrivals: Vec<OpenRequest> =
             (0..8).map(|_| open(h, Priority::Normal, 0.0, 10.0)).collect();
         let out = srv.run_open_loop(arrivals);

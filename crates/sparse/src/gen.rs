@@ -12,11 +12,16 @@
 //!   sparse/medium/dense block mix (Figure 9a) — which is how
 //!   [`crate::datasets`] matches the SuiteSparse matrices' statistics.
 //!
+//! [`value_only_batch`] and [`structural_batch`] draw delta batches
+//! against an existing matrix for the evolving-matrix scenarios.
+//!
 //! All generators are deterministic given their seed (see [`crate::rng`]).
 
 use crate::coo::Coo;
 use crate::csr::Csr;
+use crate::delta::{Delta, DeltaBatch};
 use crate::rng::Pcg64;
+use std::collections::BTreeSet;
 
 /// Block edge length used throughout the reproduction (the paper fixes
 /// 8×8 blocks so a block's occupancy fits a 64-bit bitmap).
@@ -367,6 +372,61 @@ pub fn scale_free(n: usize, nnz_target: usize, exponent: f64, seed: u64) -> Csr 
         }
     }
     coo.to_csr()
+}
+
+/// `k` overwrites of existing entries of `truth` with fresh values — a
+/// value-only delta batch for evolving-matrix scenarios.
+pub fn value_only_batch(truth: &Csr, rng: &mut Pcg64, k: usize) -> DeltaBatch {
+    let mut deltas = Vec::new();
+    let mut seen = BTreeSet::new();
+    while deltas.len() < k {
+        let row = rng.below_usize(truth.nrows);
+        let (cols, _) = truth.row(row);
+        if cols.is_empty() {
+            continue;
+        }
+        let col = cols[rng.below_usize(cols.len())];
+        if seen.insert((row as u32, col)) {
+            deltas.push(Delta { row: row as u32, col, value: rng.range_f32(0.05, 1.0) });
+        }
+    }
+    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
+}
+
+/// `k` new edges of `truth`: `fresh` land in 8×8 blocks the matrix does
+/// not have yet (exercising an evolving matrix's side buffer and, past
+/// its threshold, compaction) and `k - fresh` at absent positions
+/// anywhere — a structural delta batch.
+pub fn structural_batch(truth: &Csr, rng: &mut Pcg64, k: usize, fresh: usize) -> DeltaBatch {
+    let mut occupied = BTreeSet::new();
+    for r in 0..truth.nrows {
+        let (cols, _) = truth.row(r);
+        for &c in cols {
+            occupied.insert((r as u32 / 8, c / 8));
+        }
+    }
+    let mut deltas = Vec::new();
+    let mut seen = BTreeSet::new();
+    let mut new_blocks = BTreeSet::new();
+    while new_blocks.len() < fresh {
+        let (br, bc) =
+            (rng.below_usize(truth.nrows / 8) as u32, rng.below_usize(truth.ncols / 8) as u32);
+        if !occupied.contains(&(br, bc)) && new_blocks.insert((br, bc)) {
+            let (row, col) =
+                (br * 8 + rng.below_usize(8) as u32, bc * 8 + rng.below_usize(8) as u32);
+            seen.insert((row, col));
+            deltas.push(Delta { row, col, value: rng.range_f32(0.05, 1.0) });
+        }
+    }
+    while deltas.len() < k {
+        let row = rng.below_usize(truth.nrows) as u32;
+        let col = rng.below_usize(truth.ncols) as u32;
+        let (cols, _) = truth.row(row as usize);
+        if !cols.contains(&col) && seen.insert((row, col)) {
+            deltas.push(Delta { row, col, value: rng.range_f32(0.05, 1.0) });
+        }
+    }
+    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("generated batch is valid")
 }
 
 /// Scalar banded matrix: each row has `degree` entries within `bandwidth`

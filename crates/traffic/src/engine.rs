@@ -326,8 +326,9 @@ fn corpus_matrices(c: &CorpusConfig) -> Vec<Csr> {
 }
 
 /// Per-row oracle tolerance for the f16 tensor-core rungs: unit roundoff
-/// scaled by the row's accumulation length (mirrors the chaos harness).
-fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
+/// scaled by the row's accumulation length. Every served-result oracle
+/// in the workspace (traffic, evolve, recover, chaos) checks against it.
+pub fn oracle_tol(csr: &Csr, row: usize, oracle: f64) -> f64 {
     let row_nnz = (csr.row_ptr[row + 1] - csr.row_ptr[row]) as f64;
     (2.0f64.powi(-10) * 3.0 * row_nnz.max(1.0) + 1e-4) * oracle.abs().max(1.0)
 }

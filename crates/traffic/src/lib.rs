@@ -51,8 +51,8 @@ pub mod tenant;
 
 pub use arrival::ArrivalProcess;
 pub use engine::{
-    calibrate_capacity_rps, run_traffic, traffic_x, window_stats, CorpusConfig, TrafficConfig,
-    TrafficSummary, WindowStat,
+    calibrate_capacity_rps, oracle_tol, run_traffic, traffic_x, window_stats, CorpusConfig,
+    TrafficConfig, TrafficSummary, WindowStat,
 };
 pub use report::{traffic_sweep, traffic_sweep_with, Check, SweepConfig, SweepPoint, TrafficReport};
 pub use tenant::{ArrivalMeta, Population, PopulationConfig, TenantAccount};

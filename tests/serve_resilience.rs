@@ -5,16 +5,19 @@
 //!    requests are shed with typed errors; once the fault burst stops the
 //!    breakers probe, recover, and service resumes — all on simulated
 //!    time, fully deterministic.
-//! 2. A chaos sweep of 200+ mixed requests (malformed, deadline-bound,
-//!    overload bursts) across fault rates and seeds produces zero
-//!    silently-wrong results: every `Ok` matches an f64 oracle.
+//! 2. The single-family fault schedules behind `repro serve` and
+//!    `repro shard` hold the chaos oracle — no unverified output, one
+//!    outcome per arrival — and each shows its family's signature in the
+//!    counters: uniform kernel bit bursts (200+ arrivals, zero silently
+//!    wrong results, breakers trip and recover), tensor-core-only faults
+//!    (absorbed by ABFT correction on the top rung), and the device
+//!    families (a device kill, fleet-wide stragglers, rolling hangs).
 //! 3. Deadlines and backpressure hold under fault-free load too.
 
-use spaden_gpusim::{FaultConfig, Gpu, GpuConfig};
-use spaden_serve::{
-    chaos_sweep, BreakerState, ChaosConfig, FaultProfile, Request, Rung, ServeConfig, ServeError,
-    SpmvServer,
-};
+use spaden_bench::{burst_schedule, device_schedules};
+use spaden_chaos::{run_schedule, ChaosSchedule, ScenarioOutcome};
+use spaden_gpusim::{DeviceCounters, FaultConfig, Gpu, GpuConfig, InjectionConfig};
+use spaden_serve::{BreakerState, Request, Rung, ServeConfig, ServeError, SpmvServer, Weaken};
 use spaden_sparse::gen;
 
 fn make_x(n: usize) -> Vec<f32> {
@@ -30,7 +33,10 @@ fn breakers_trip_under_sustained_injection_and_recover_after() {
     // Sustained burst: every value sector read corrupted. All three rungs
     // fail verification on every attempt, so each breaker accumulates
     // failures and trips.
-    srv.set_fault_config(FaultConfig::uniform(404, 1.0));
+    srv.set_injection(&InjectionConfig {
+        faults: FaultConfig::uniform(404, 1.0),
+        ..InjectionConfig::none()
+    });
     let mut shed = 0u32;
     for _ in 0..8 {
         match srv.serve(Request { matrix: h, x: make_x(96), deadline_s: None }) {
@@ -52,7 +58,7 @@ fn breakers_trip_under_sustained_injection_and_recover_after() {
 
     // Burst ends. Arrival ticks keep the simulated clock moving, so the
     // cooldown elapses, a half-open probe succeeds, and service resumes.
-    srv.set_fault_config(FaultConfig::disabled());
+    srv.set_injection(&InjectionConfig::none());
     let mut recovered_ok = 0u32;
     let mut last_rung = None;
     for _ in 0..30 {
@@ -69,23 +75,72 @@ fn breakers_trip_under_sustained_injection_and_recover_after() {
     assert!(srv.breaker(Rung::SpadenChecked).health() > 0.5, "health rebuilt by successes");
 }
 
+/// Sum of one fleet counter over every device.
+fn fleet_sum(o: &ScenarioOutcome, f: fn(&DeviceCounters) -> u64) -> u64 {
+    o.devices.iter().map(f).sum()
+}
+
+/// A family's signature in a schedule's outcome.
+type Signature = fn(&ScenarioOutcome) -> bool;
+
+/// Runs each schedule, asserts it holds the chaos oracle and shows its
+/// family's signature, and returns the outcomes in order.
+fn run_cases(cases: &[(&str, ChaosSchedule, Signature)]) -> Vec<ScenarioOutcome> {
+    let gpu = GpuConfig::l40();
+    cases
+        .iter()
+        .map(|(name, sched, signature)| {
+            let o = run_schedule(&gpu, sched, Weaken::None);
+            assert!(o.violations.is_empty(), "{name}: {:#?}", o.violations);
+            assert!(
+                signature(&o),
+                "{name}: served {}/{} (rungs {:?}, exhausted {}, unavailable {}), breakers {:?}, \
+                 devices lost {}, stragglers {}, hangs {}, speculative {}/{}",
+                o.served,
+                o.offered,
+                o.stats.served,
+                o.stats.exhausted,
+                o.stats.unavailable,
+                o.breakers,
+                o.devices.iter().filter(|c| c.crashed).count(),
+                fleet_sum(&o, |c| c.stragglers),
+                fleet_sum(&o, |c| c.hangs),
+                fleet_sum(&o, |c| c.speculative_wins),
+                fleet_sum(&o, |c| c.speculative_launches),
+            );
+            o
+        })
+        .collect()
+}
+
+/// Runs `sched` twice and asserts bit-identical digests.
+fn assert_deterministic(sched: &ChaosSchedule) {
+    let gpu = GpuConfig::l40();
+    let a = run_schedule(&gpu, sched, Weaken::None);
+    let b = run_schedule(&gpu, sched, Weaken::None);
+    assert_eq!(a.digest, b.digest);
+}
+
 #[test]
 fn chaos_sweep_of_200_plus_requests_has_zero_silent_wrong_results() {
-    let cfg = ChaosConfig {
-        rates: vec![0.0, 0.02, 0.08],
-        profile: FaultProfile::Uniform,
-        seeds: vec![5, 17],
-        requests_per_cell: 36,
-        ..ChaosConfig::default()
-    };
-    let report = chaos_sweep(&GpuConfig::l40(), &cfg);
-    assert!(report.submitted() >= 200, "sweep size: {}", report.submitted());
-    assert_eq!(report.silent_wrong(), 0, "an Ok that fails the oracle is a serving bug");
-    assert!(report.slo_holds(), "every request must resolve: {:?}", report.cells);
-    // The clean cells serve everything well-formed; the faulted cells
-    // exercise the breakers.
-    assert!(report.cells.iter().filter(|c| c.rate == 0.0).all(|c| c.trips == 0));
-    assert!(report.trips() > 0, "faulted cells must trip breakers");
+    // Uniform kernel bit bursts across rates: the oracle rejects any
+    // served result that disagrees with the f64 reference and any
+    // arrival without exactly one outcome.
+    let cases: [(&str, ChaosSchedule, Signature); 4] = [
+        ("uniform 0", burst_schedule(11, 0.0, false), |o| {
+            o.served == o.offered && o.breakers == (0, 0)
+        }),
+        ("uniform 1e-2", burst_schedule(11, 1e-2, false), |_| true),
+        ("uniform 5e-2", burst_schedule(11, 5e-2, false), |_| true),
+        ("uniform 2e-1", burst_schedule(11, 2e-1, false), |_| true),
+    ];
+    let outcomes = run_cases(&cases);
+    let offered: usize = outcomes.iter().map(|o| o.offered).sum();
+    assert!(offered >= 200, "sweep size: {offered}");
+    let trips: u64 = outcomes.iter().map(|o| o.breakers.0).sum();
+    let recoveries: u64 = outcomes.iter().map(|o| o.breakers.1).sum();
+    assert!(trips > 0 && recoveries > 0, "uniform bursts trip and recover: {trips}/{recoveries}");
+    assert_deterministic(&cases[2].1);
 }
 
 #[test]
@@ -94,22 +149,32 @@ fn tensor_core_only_faults_are_absorbed_by_abft_correction() {
     // rung detects and repairs it on the scalar path, so service stays on
     // the top rung with zero wrong answers — the paper's ABFT story,
     // observed through the serving layer.
-    let cfg = ChaosConfig {
-        rates: vec![1.0],
-        profile: FaultProfile::TensorCoreOnly,
-        seeds: vec![9],
-        requests_per_cell: 24,
-        ..ChaosConfig::default()
-    };
-    let report = chaos_sweep(&GpuConfig::l40(), &cfg);
-    assert!(report.slo_holds());
-    let c = &report.cells[0];
-    assert_eq!(c.silent_wrong, 0);
-    assert!(
-        c.served[Rung::SpadenChecked as usize] > 0,
-        "ABFT correction keeps the top rung serving: {c:?}"
-    );
-    assert_eq!(c.exhausted + c.unavailable, 0, "no shedding needed: {c:?}");
+    run_cases(&[("tc-only 1.0", burst_schedule(11, 1.0, true), |o| {
+        o.stats.exhausted + o.stats.unavailable == 0
+            && o.served == o.offered
+            && o.stats.served[Rung::SpadenChecked as usize] > 0
+    })]);
+}
+
+#[test]
+fn single_family_schedules_hold_the_oracle() {
+    let [kill_one, all_slow, rolling_hangs] = device_schedules(31);
+    let cases: [(&str, ChaosSchedule, Signature); 3] = [
+        // The survivors absorb the dead device's shards.
+        (kill_one.0, kill_one.1, |o| {
+            o.devices.iter().filter(|c| c.crashed).count() == 1
+                && o.served as f64 >= 0.9 * o.offered as f64
+                && o.stats.served[Rung::Sharded as usize] > 0
+        }),
+        (all_slow.0, all_slow.1, |o| {
+            fleet_sum(o, |c| c.stragglers) > 0 && fleet_sum(o, |c| c.speculative_launches) > 0
+        }),
+        (rolling_hangs.0, rolling_hangs.1, |o| {
+            fleet_sum(o, |c| c.hangs) + fleet_sum(o, |c| c.speculative_wins) > 0
+        }),
+    ];
+    run_cases(&cases);
+    assert_deterministic(&cases[2].1);
 }
 
 #[test]

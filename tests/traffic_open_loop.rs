@@ -10,7 +10,7 @@
 //!    Low-priority traffic at admission — while closed-loop serving with
 //!    the same config stays bit-identical to the default server.
 
-use spaden_gpusim::{FaultConfig, Gpu, GpuConfig};
+use spaden_gpusim::{FaultConfig, Gpu, GpuConfig, InjectionConfig};
 use spaden_serve::{
     OverloadConfig, Priority, Request, ServeConfig, ServeError, ShedReason, SpmvServer,
 };
@@ -66,7 +66,10 @@ fn flash_crowd_under_fault_injection_stays_verified() {
         .collect();
     let mut server = SpmvServer::new(Gpu::new(gpu_cfg.clone()), cfg.serve.clone());
     let handles: Vec<_> = matrices.iter().map(|m| server.register(m).unwrap()).collect();
-    server.set_fault_config(FaultConfig::uniform(99, 5e-3));
+    server.set_injection(&InjectionConfig {
+        faults: FaultConfig::uniform(99, 5e-3),
+        ..InjectionConfig::none()
+    });
 
     let mut schedule = spaden_sparse::rng::Pcg64::new(cfg.seed, 0x5ced);
     let times = cfg.process.arrivals(cfg.duration_s, &mut schedule);
