@@ -1,13 +1,16 @@
 //! Microbenchmarks of the simulator substrate: fragment load/store, MMA
-//! emulation, bitmap decode, f16 conversion, coalescer and L2 model.
-//! These bound how fast the functional simulation itself can go.
+//! emulation, bitmap decode, f16 conversion, coalescer and L2 model, and
+//! the fixed host cost of one launch. These bound how fast the functional
+//! simulation itself can go.
 
-use spaden::decode::lane_value_indices;
+use spaden::decode::value_indices;
+use spaden::{SpadenEngine, SpmvEngine};
 use spaden_bench::BenchGroup;
 use spaden_gpusim::fragment::{FragKind, Fragment};
 use spaden_gpusim::half::F16;
 use spaden_gpusim::memory::{coalesce_into, L2Cache};
 use spaden_gpusim::mma::mma_sync;
+use spaden_gpusim::{Gpu, GpuConfig};
 
 fn main() {
     // Fragment load/store (256 element mappings each).
@@ -42,14 +45,8 @@ fn main() {
     // Bitmap decode: all 32 lanes of one block.
     let mut g = BenchGroup::new("decode");
     g.throughput(64);
-    g.bench("lane_value_indices_warp", || {
-        let bmp = 0xdead_beef_cafe_f00du64;
-        let mut acc = 0u32;
-        for lid in 0..32 {
-            let (v1, v2) = lane_value_indices(std::hint::black_box(bmp), lid);
-            acc = acc.wrapping_add(v1.unwrap_or(0)).wrapping_add(v2.unwrap_or(0));
-        }
-        acc
+    g.bench("value_indices_warp", || {
+        value_indices(std::hint::black_box(0xdead_beef_cafe_f00du64), std::hint::black_box(64))
     });
 
     // f16 conversion round-trip.
@@ -76,6 +73,23 @@ fn main() {
             s = s.wrapping_add(1);
             l2.access_sector(std::hint::black_box(s % 100_000))
         });
+    }
+
+    // Fixed host cost per launch: an empty one-warp launch on each GPU
+    // preset, and one ABFT-checked Spaden SpMV on a served-size matrix
+    // (96x96, ~1.2k nonzeros), which is one launch plus verification.
+    let g = BenchGroup::new("launch");
+    for (label, config) in [("empty_l40", GpuConfig::l40()), ("empty_v100", GpuConfig::v100())] {
+        let gpu = Gpu::new(config);
+        g.bench(label, || gpu.launch(1, |_| {}));
+    }
+    let small = spaden_sparse::gen::random_uniform(96, 96, 1300, 3);
+    let x: Vec<f32> = (0..96).map(|i| (i % 7) as f32 * 0.25).collect();
+    let g = BenchGroup::new("spaden");
+    {
+        let gpu = Gpu::new(GpuConfig::l40());
+        let eng = SpadenEngine::prepare(&gpu, &small);
+        g.bench("run_checked_96x96", || eng.run_checked(&gpu, std::hint::black_box(&x)));
     }
 
     // Reference CSR SpMV serial vs thread-parallel.

@@ -10,26 +10,39 @@
 //! The paper's pseudocode writes the value fetch as `load(A_values, lid)`;
 //! the real index is the block's value-array offset plus the popcount of
 //! the bitmap bits below the lane's bit (values are packed, not strided),
-//! which is what [`lane_value_indices`] computes.
+//! which is what [`value_indices`] computes.
 
 use spaden_gpusim::exec::{WarpCtx, WARP_SIZE};
 use spaden_gpusim::half::F16;
 use spaden_gpusim::memory::DeviceBuffer;
 use spaden_sparse::gen::BLOCK_DIM;
 
-/// Intra-block value indices for one lane: `(idx1, idx2)` relative to the
-/// block's value base, `None` where the bit is clear (Algorithm 2 lines
-/// 1–6, with the packed-value offset made explicit).
+/// Intra-block value indices for a whole warp (Algorithm 2 lines 1–6,
+/// with the packed-value offset made explicit): lane `lid` owns bits
+/// `2*lid` and `2*lid + 1`, and a set bit loads value `base` plus the
+/// number of set bits below it. Returns `(idx1, idx2)` per lane, `None`
+/// where the bit is clear.
+///
+/// The additions saturate: a corrupt `base` near `u32::MAX` must become an
+/// out-of-range index (a modelled OOB access SimSan reports), not wrap
+/// around to a bogus in-bounds one.
 #[inline]
-pub fn lane_value_indices(bitmap: u64, lid: usize) -> (Option<u32>, Option<u32>) {
-    debug_assert!(lid < WARP_SIZE);
-    let lid_offset = (lid as u64) << 1; // line 1
-    let bit1 = 1u64 << lid_offset; // line 2
-    let bit2 = 2u64 << lid_offset; // line 3
-    let below = (bitmap & (bit1 - 1)).count_ones(); // packed-value prefix
-    let v1 = (bitmap & bit1 != 0).then_some(below);
-    let v2 = (bitmap & bit2 != 0).then_some(below + (bitmap & bit1 != 0) as u32);
-    (v1, v2)
+pub fn value_indices(
+    bitmap: u64,
+    base: u32,
+) -> ([Option<u32>; WARP_SIZE], [Option<u32>; WARP_SIZE]) {
+    let mut idx1 = [None; WARP_SIZE];
+    let mut idx2 = [None; WARP_SIZE];
+    // The packed-value prefix: set bits in the lanes before this one.
+    let mut below = 0u32;
+    for lid in 0..WARP_SIZE {
+        let pair = (bitmap >> (lid << 1)) as u32 & 3; // lines 1-3
+        let (set1, set2) = (pair & 1, pair >> 1);
+        idx1[lid] = (set1 != 0).then(|| base.saturating_add(below));
+        idx2[lid] = (set2 != 0).then(|| base.saturating_add(below + set1));
+        below += set1 + set2;
+    }
+    (idx1, idx2)
 }
 
 /// The input-vector fetch positions for one lane (Algorithm 2 lines 7–8):
@@ -56,28 +69,13 @@ pub fn decode_matrix_block(
     let base = ctx.read(block_offsets, a_idx);
     ctx.ops(6); // lines 1-3 + popcount + two predicates
 
-    let mut idx1 = [None; WARP_SIZE];
-    let mut idx2 = [None; WARP_SIZE];
-    for lid in 0..WARP_SIZE {
-        let (v1, v2) = lane_value_indices(bmp, lid);
-        // Saturating: a corrupt `base` near u32::MAX must become an
-        // out-of-range index (a modelled OOB access SimSan reports), not
-        // wrap around to a bogus in-bounds one.
-        idx1[lid] = v1.map(|v| base.saturating_add(v));
-        idx2[lid] = v2.map(|v| base.saturating_add(v));
-    }
+    let (idx1, idx2) = value_indices(bmp, base);
     let val1 = ctx.gather(values, &idx1); // line 5 (conditional load)
     let val2 = ctx.gather(values, &idx2); // line 6
-    let mut out = [(0.0f32, 0.0f32); WARP_SIZE];
-    for lid in 0..WARP_SIZE {
-        // Clear bits become computed zeros — written to the fragment
-        // registers directly instead of being loaded.
-        out[lid] = (
-            if idx1[lid].is_some() { val1[lid].to_f32() } else { 0.0 },
-            if idx2[lid].is_some() { val2[lid].to_f32() } else { 0.0 },
-        );
-    }
-    out
+    // Clear bits become computed zeros — written to the fragment registers
+    // directly instead of being loaded. A gather leaves inactive lanes at
+    // `F16::ZERO`, which widens to exactly that +0.0.
+    std::array::from_fn(|lid| (val1[lid].to_f32(), val2[lid].to_f32()))
 }
 
 /// Device column index of segment position `pos` in block-column `b_idx`,
@@ -137,6 +135,31 @@ pub fn decode_vector_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // One lane's `(idx1, idx2)` relative to the block's value base.
+    fn lane_value_indices(bitmap: u64, lid: usize) -> (Option<u32>, Option<u32>) {
+        let (idx1, idx2) = value_indices(bitmap, 0);
+        (idx1[lid], idx2[lid])
+    }
+
+    #[test]
+    fn value_indices_are_base_plus_the_popcount_below() {
+        let mut bmp = 0x9e37_79b9_7f4a_7c15u64;
+        for base in [0u32, 1, 4096, u32::MAX - 40, u32::MAX] {
+            for _ in 0..64 {
+                bmp = bmp.rotate_left(7) ^ bmp.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let (idx1, idx2) = value_indices(bmp, base);
+                for lid in 0..WARP_SIZE {
+                    let (bit1, bit2) = (2 * lid, 2 * lid + 1);
+                    let at = |bit: usize| {
+                        let below = (bmp & ((1u64 << bit) - 1)).count_ones();
+                        (bmp >> bit & 1 != 0).then(|| base.saturating_add(below))
+                    };
+                    assert_eq!((idx1[lid], idx2[lid]), (at(bit1), at(bit2)), "{bmp:#x} lane {lid}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn empty_bitmap_loads_nothing() {

@@ -104,13 +104,13 @@ pub struct SpadenEngine {
 /// Counts f16 conversion hazards over the source values (prepare-time
 /// guard rail). Skipped entirely when SimSan is off — prepare stays
 /// zero-cost and behaviour-identical.
-fn conversion_hazards(values: &[f32], gpu: &Gpu) -> (usize, usize, usize) {
+fn conversion_hazards(values: impl Iterator<Item = f32>, gpu: &Gpu) -> (usize, usize, usize) {
     if !gpu.san_enabled() {
         return (0, 0, 0);
     }
     let tol = gpu.config.san.underflow_tol;
     let mut counts = (0usize, 0usize, 0usize);
-    for &v in values {
+    for v in values {
         match F16::convert_hazard(v, tol) {
             Some(ConvertHazard::Overflow) => counts.0 += 1,
             Some(ConvertHazard::Underflow) => counts.1 += 1,
@@ -154,7 +154,7 @@ impl SpadenEngine {
         let abft = AbftChecksums::build(&format);
         // Prepare-time guard rail: the f32 → f16 rounding above is where
         // out-of-range values are silently lost, before any kernel runs.
-        let prep_hazards = conversion_hazards(&csr.values, gpu);
+        let prep_hazards = conversion_hazards(csr.values.iter().copied(), gpu);
         Self::from_validated_parts(gpu, format, abft, config, seconds, prep_hazards)
     }
 
@@ -179,8 +179,7 @@ impl SpadenEngine {
         // The f32 source is gone here (the slice is already f16), so only
         // retained Inf/NaN can still be seen; underflow losses were
         // counted when the full matrix was prepared.
-        let vals_f32: Vec<f32> = format.values.iter().map(|v| v.to_f32()).collect();
-        let prep_hazards = conversion_hazards(&vals_f32, gpu);
+        let prep_hazards = conversion_hazards(format.values.iter().map(|v| v.to_f32()), gpu);
         Self::from_validated_parts(gpu, format, abft, config, 0.0, prep_hazards)
     }
 

@@ -186,13 +186,7 @@ impl SpadenSddmmEngine {
             // Mask by the bitmap and scale by the pattern values; write the
             // survivors packed. Lane l owns bits 2l, 2l+1 — the same
             // ownership as the SpMV decode, run in reverse.
-            let mut pat_idx = [None; WARP_SIZE];
-            let mut pat_idx2 = [None; WARP_SIZE];
-            for l in 0..WARP_SIZE {
-                let (i1, i2) = crate::decode::lane_value_indices(bmp, l);
-                pat_idx[l] = i1.map(|v| base + v);
-                pat_idx2[l] = i2.map(|v| base + v);
-            }
+            let (pat_idx, pat_idx2) = crate::decode::value_indices(bmp, base);
             let pv1 = ctx.gather(&self.d_values, &pat_idx);
             let pv2 = ctx.gather(&self.d_values, &pat_idx2);
             ctx.ops(6);

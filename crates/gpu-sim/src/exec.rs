@@ -15,7 +15,8 @@
 use crate::config::GpuConfig;
 use crate::counters::KernelCounters;
 use crate::fault::FaultInjector;
-use crate::fragment::Fragment;
+use crate::fragment::{FragKind, Fragment};
+use crate::half::F16;
 use crate::memory::{
     coalesce_into, DeviceBuffer, DeviceOutput, DeviceScalar, L2Cache, SECTOR_BYTES,
 };
@@ -25,6 +26,7 @@ use spaden_sparse::par;
 use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(feature = "parallel")]
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Threads per warp.
 pub const WARP_SIZE: usize = 32;
@@ -47,6 +49,11 @@ pub struct Gpu {
     // SimSan shadow state: allocation table, report sink and numeric
     // tallies. `Some` exactly when `config.san.enabled`.
     shadow: Option<ShadowState>,
+    // One L2 shard cache per slot, kept between launches so a launch
+    // resets them instead of allocating. Host-side reuse only: every
+    // launch still starts with a cold L2. A launch that finds a slot empty
+    // (another launch on this `Gpu` holds it) builds a fresh cache.
+    l2_pool: [Mutex<Option<L2Cache>>; SHARDS],
 }
 
 impl Gpu {
@@ -58,6 +65,26 @@ impl Gpu {
             next_addr: std::sync::atomic::AtomicU64::new(0x1000_0000),
             launch_salt: std::sync::atomic::AtomicU64::new(0),
             shadow,
+            l2_pool: std::array::from_fn(|_| Mutex::new(None)),
+        }
+    }
+
+    // Shard `s`'s cache for one launch: the pooled one, emptied, when it
+    // was built for `capacity`, otherwise a fresh one.
+    fn take_l2(&self, s: usize, capacity: usize) -> L2Cache {
+        let pooled = self.l2_pool[s].lock().ok().and_then(|mut slot| slot.take());
+        match pooled {
+            Some(mut l2) if l2.capacity_bytes() == capacity => {
+                l2.reset();
+                l2
+            }
+            _ => L2Cache::new(capacity),
+        }
+    }
+
+    fn return_l2(&self, s: usize, l2: L2Cache) {
+        if let Ok(mut slot) = self.l2_pool[s].lock() {
+            *slot = Some(l2);
         }
     }
 
@@ -151,8 +178,8 @@ impl Gpu {
                 warp_id: 0,
                 nwarps,
                 counters: KernelCounters::default(),
-                l2: L2Cache::new(shard_l2),
-                scratch: Vec::with_capacity(64),
+                l2: self.take_l2(s, shard_l2),
+                scratch: Vec::new(),
                 injector: None,
                 san: san_allocs.as_ref().map(|a| SanCtx::new(san_cfg, a.clone())),
                 #[cfg(feature = "parallel")]
@@ -172,6 +199,7 @@ impl Gpu {
                 }
                 kernel(&mut ctx);
             }
+            self.return_l2(s, ctx.l2);
             (ctx.counters, ctx.san)
         });
         let mut merged = KernelCounters::default();
@@ -448,12 +476,14 @@ impl WarpCtx {
             idx
         };
         self.counters.load_insts += 1;
-        coalesce_into(
-            idx.iter()
-                .flatten()
-                .flat_map(|&i| [buf.addr_raw(i as usize), buf.addr_raw(i as usize + 1)]),
-            &mut self.scratch,
-        );
+        // `coalesce_into` over both elements of every active lane's pair.
+        self.scratch.clear();
+        for &i in idx.iter().flatten() {
+            self.scratch.push(buf.addr_raw(i as usize) / SECTOR_BYTES);
+            self.scratch.push(buf.addr_raw(i as usize + 1) / SECTOR_BYTES);
+        }
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
         self.account_read_sectors();
         if let Some(s) = &mut self.san {
             s.check_read(
@@ -670,9 +700,20 @@ impl WarpCtx {
             let opt: [Option<(f32, f32)>; WARP_SIZE] = vals.map(Some);
             s.check_frag_pairs(bases.iter().copied().enumerate(), &opt, "frag_write");
         }
-        for (lane, &(v0, v1)) in vals.iter().enumerate() {
-            frag.write_reg(lane, bases[lane], v0);
-            frag.write_reg(lane, bases[lane] + 1, v1);
+        // A/B operands hold f16 values; the accumulator is full f32.
+        let mut flat: [f32; 2 * WARP_SIZE] = std::array::from_fn(|i| {
+            let (v0, v1) = vals[i / 2];
+            if i % 2 == 0 {
+                v0
+            } else {
+                v1
+            }
+        });
+        if frag.kind != FragKind::Accumulator {
+            flat = F16::round_f32_all(flat);
+        }
+        for ((regs, pair), &b) in frag.regs.iter_mut().zip(flat.chunks_exact(2)).zip(&bases) {
+            regs[b..b + 2].copy_from_slice(pair);
         }
     }
 
@@ -1349,5 +1390,107 @@ mod tests {
             ctx.atomic_add(&out, &w);
         });
         assert!(out.to_vec().iter().all(|&v| v == 1.0));
+    }
+
+    // Three launches with different access shapes over buffers allocated
+    // up front, so every `Gpu` that runs them sees the same addresses.
+    fn l2_probe_buffers(g: &Gpu) -> Vec<DeviceBuffer<f32>> {
+        [4096usize, 50_000, 300].iter().map(|&n| g.alloc(vec![1.0f32; n])).collect()
+    }
+
+    fn l2_probe_launch(g: &Gpu, bufs: &[DeviceBuffer<f32>], pattern: usize) -> KernelCounters {
+        g.launch(48, |ctx| {
+            let w = ctx.warp_id as u32;
+            match pattern {
+                // Reuse within a warp: the second gather hits.
+                0 => {
+                    let idx = lanes_from((0..32u32).map(|l| (w * 64 + l) % 4096));
+                    ctx.gather(&bufs[0], &idx);
+                    ctx.gather(&bufs[0], &idx);
+                }
+                // A strided sweep of 384 lines, twice: it fits an L40 shard,
+                // so the second pass hits, but thrashes a 1 MiB L2's shard.
+                1 => {
+                    for step in 0..24u32 {
+                        let at = |l: u32| (w * 977 + (step % 12) * 1280 + l * 32) % 50_000;
+                        let idx = lanes_from((0..32u32).map(at));
+                        ctx.gather(&bufs[1], &idx);
+                    }
+                }
+                // Broadcast reads of a small table.
+                _ => {
+                    for i in 0..300 {
+                        ctx.read(&bufs[2], (i + w as usize) % 300);
+                    }
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn pooled_l2_is_cold_on_every_launch() {
+        // A sequence of different launches on one `Gpu` (reusing its
+        // pooled shard caches, across `l2_bytes` changes) must count
+        // exactly what each launch counts on a fresh `Gpu`.
+        let mut shared = gpu();
+        let bufs = l2_probe_buffers(&shared);
+        let default_l2 = shared.config.l2_bytes;
+        let schedule = [
+            (0, default_l2),
+            (0, default_l2),
+            (1, default_l2),
+            (1, 1 << 20),
+            (0, 1 << 20),
+            (2, 1 << 20),
+            (1, default_l2),
+            (2, default_l2),
+        ];
+        for (step, &(pattern, l2_bytes)) in schedule.iter().enumerate() {
+            shared.config.l2_bytes = l2_bytes;
+            let got = l2_probe_launch(&shared, &bufs, pattern);
+            let mut cfg = GpuConfig::l40();
+            cfg.l2_bytes = l2_bytes;
+            let fresh = Gpu::new(cfg);
+            let want = l2_probe_launch(&fresh, &l2_probe_buffers(&fresh), pattern);
+            assert_eq!(got, want, "step {step}: pattern {pattern}, l2_bytes {l2_bytes}");
+            assert!(got.l2_hits > 0 || pattern == 1, "step {step}: the probe must hit in L2");
+        }
+        let small = {
+            let mut cfg = GpuConfig::l40();
+            cfg.l2_bytes = 1 << 20;
+            let g = Gpu::new(cfg);
+            l2_probe_launch(&g, &l2_probe_buffers(&g), 1)
+        };
+        let large = l2_probe_launch(&shared, &bufs, 1);
+        assert!(small.l2_hits < large.l2_hits, "capacity changes must take effect");
+    }
+
+    #[test]
+    fn concurrent_and_nested_launches_stay_cold() {
+        let g = gpu();
+        let bufs = l2_probe_buffers(&g);
+        let want: Vec<KernelCounters> = (0..3).map(|p| l2_probe_launch(&g, &bufs, p)).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..3)
+                .map(|p| {
+                    let (g, bufs) = (&g, &bufs);
+                    s.spawn(move || {
+                        (0..20).map(|_| l2_probe_launch(g, bufs, p)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for (p, h) in handles.into_iter().enumerate() {
+                for got in h.join().expect("launch thread") {
+                    assert_eq!(got, want[p], "pattern {p}");
+                }
+            }
+        });
+        // A kernel that launches on its own `Gpu` holds one pooled cache
+        // while the inner launch runs.
+        let outer = g.launch(2, |_| {
+            assert_eq!(l2_probe_launch(&g, &bufs, 0), want[0]);
+        });
+        assert_eq!(outer.warps, 2);
+        assert_eq!(l2_probe_launch(&g, &bufs, 1), want[1]);
     }
 }

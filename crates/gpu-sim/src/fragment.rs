@@ -43,6 +43,29 @@ pub enum FragKind {
     Accumulator,
 }
 
+/// Row-major element index `r * 16 + c` held by each `(lane, reg)` slot.
+type SlotTable = [[u8; REGS_PER_LANE]; LANES];
+
+const fn slot_table(kind: FragKind) -> SlotTable {
+    let mut t = [[0u8; REGS_PER_LANE]; LANES];
+    let mut lane = 0;
+    while lane < LANES {
+        let mut reg = 0;
+        while reg < REGS_PER_LANE {
+            let (r, c) = Fragment::element_of(kind, lane, reg);
+            t[lane][reg] = (r * FRAG_DIM + c) as u8;
+            reg += 1;
+        }
+        lane += 1;
+    }
+    t
+}
+
+/// Slot table of the row-major layout (`MatrixA`, `Accumulator`).
+const ROW_SLOTS: SlotTable = slot_table(FragKind::MatrixA);
+/// Slot table of the intra-portion-transposed `MatrixB` layout.
+const B_SLOTS: SlotTable = slot_table(FragKind::MatrixB);
+
 /// A 16×16 tensor-core fragment: 32 lanes × 8 registers of f32 storage.
 ///
 /// `regs[lane][reg]` is the model of `fragment.x[reg]` in thread `lane` —
@@ -86,7 +109,7 @@ impl Fragment {
     /// Inverse of [`Fragment::lane_reg`]: the element `(r, c)` stored in
     /// `(lane, reg)`.
     #[inline]
-    pub fn element_of(kind: FragKind, lane: usize, reg: usize) -> (usize, usize) {
+    pub const fn element_of(kind: FragKind, lane: usize, reg: usize) -> (usize, usize) {
         debug_assert!(lane < LANES && reg < REGS_PER_LANE);
         let pr = reg / 4;
         let pc = (reg % 4) / 2;
@@ -150,11 +173,26 @@ impl Fragment {
         }
     }
 
+    fn slots(&self) -> &'static SlotTable {
+        match self.kind {
+            FragKind::MatrixA | FragKind::Accumulator => &ROW_SLOTS,
+            FragKind::MatrixB => &B_SLOTS,
+        }
+    }
+
     /// Loads a row-major 16×16 matrix (`wmma::load_matrix_sync`).
     pub fn load_matrix(&mut self, m: &[f32; FRAG_DIM * FRAG_DIM]) {
-        for r in 0..FRAG_DIM {
-            for c in 0..FRAG_DIM {
-                self.set(r, c, m[r * FRAG_DIM + c]);
+        let rounded;
+        let m = if self.kind == FragKind::Accumulator {
+            m
+        } else {
+            rounded = F16::round_f32_all(*m);
+            &rounded
+        };
+        let slots = self.slots();
+        for (regs, idx) in self.regs.iter_mut().zip(slots) {
+            for (reg, &i) in regs.iter_mut().zip(idx) {
+                *reg = m[i as usize];
             }
         }
     }
@@ -162,9 +200,9 @@ impl Fragment {
     /// Stores to a row-major 16×16 matrix (`wmma::store_matrix_sync`).
     pub fn store_matrix(&self) -> [f32; FRAG_DIM * FRAG_DIM] {
         let mut m = [0.0f32; FRAG_DIM * FRAG_DIM];
-        for r in 0..FRAG_DIM {
-            for c in 0..FRAG_DIM {
-                m[r * FRAG_DIM + c] = self.get(r, c);
+        for (regs, idx) in self.regs.iter().zip(self.slots()) {
+            for (&reg, &i) in regs.iter().zip(idx) {
+                m[i as usize] = reg;
             }
         }
         m

@@ -103,9 +103,44 @@ impl F16 {
 
     /// Rounds an `f32` through f16 precision and back — the value a tensor
     /// core actually multiplies after loading `value` into a half fragment.
+    ///
+    /// Bit-identical to `F16::from_f32(value).to_f32()`, with two fast
+    /// paths in plain bit arithmetic. In the f16 normal range (f32
+    /// exponent field 113..=142) it rounds to nearest even on the 13
+    /// mantissa bits f16 drops: a carry out of the mantissa moves to the
+    /// next binade, and a carry into exponent 143 (2^16, past the f16
+    /// range) becomes ±inf. Below half the smallest f16 subnormal
+    /// (exponent field ≤ 101, including zeros) the result is a signed
+    /// zero. Everything else — f16 subnormals, overflow, inf and NaN —
+    /// takes the full conversion.
     #[inline]
     pub fn round_f32(value: f32) -> f32 {
-        F16::from_f32(value).to_f32()
+        match round_fast(value.to_bits()) {
+            (bits, true) => f32::from_bits(bits),
+            (_, false) => F16::from_f32(value).to_f32(),
+        }
+    }
+
+    /// [`F16::round_f32`] of every element, bit-identical, with the fast
+    /// paths run branch-free over the whole array (so they vectorize) and
+    /// the full conversion only for elements outside them.
+    #[inline]
+    pub(crate) fn round_f32_all<const N: usize>(values: [f32; N]) -> [f32; N] {
+        let mut out = [0.0f32; N];
+        let mut all_fast = true;
+        for (o, v) in out.iter_mut().zip(values) {
+            let (bits, fast) = round_fast(v.to_bits());
+            *o = f32::from_bits(bits);
+            all_fast &= fast;
+        }
+        if !all_fast {
+            for (o, v) in out.iter_mut().zip(values) {
+                if !round_fast(v.to_bits()).1 {
+                    *o = F16::from_f32(v).to_f32();
+                }
+            }
+        }
+        out
     }
 
     /// True for positive or negative infinity.
@@ -149,6 +184,28 @@ impl F16 {
         }
         None
     }
+}
+
+/// The fast paths of [`F16::round_f32`], branch-free: the rounded bits,
+/// and whether `bits` lies in a fast range at all (when it does not, the
+/// returned bits are meaningless).
+#[inline(always)]
+fn round_fast(bits: u32) -> (u32, bool) {
+    let exp = (bits >> 23) & 0xff;
+    let normal = exp.wrapping_sub(113) <= 142 - 113;
+    let tiny = exp <= 101;
+    let sign = bits & 0x8000_0000;
+    // Adding 0xfff plus the kept mantissa's last bit carries into bit 13
+    // exactly when round-to-nearest-even rounds up.
+    let rounded = bits.wrapping_add(0x0fff + ((bits >> 13) & 1)) & !0x1fff;
+    let out = if tiny {
+        sign
+    } else if rounded & 0x7f80_0000 == 143 << 23 {
+        sign | 0x7f80_0000
+    } else {
+        rounded
+    };
+    (out, normal | tiny)
 }
 
 /// How an f32 → f16 conversion loses information (beyond ordinary
@@ -301,5 +358,51 @@ mod tests {
             prev = r;
             v += 173.31;
         }
+    }
+
+    #[test]
+    fn fast_round_matches_the_full_conversion() {
+        let reference = |v: f32| F16::from_f32(v).to_f32();
+        let check = |bits: u32| {
+            let v = f32::from_bits(bits);
+            let (got, want) = (F16::round_f32(v).to_bits(), reference(v).to_bits());
+            assert_eq!(got, want, "input {bits:#010x}: {got:#010x} vs {want:#010x}");
+        };
+        // Every exponent around and inside the fast window, both signs:
+        // each rounding boundary of the 13 dropped bits with both parities
+        // of the kept mantissa's last bit, the mantissa extremes that carry
+        // into the next binade, and a strided mantissa sweep.
+        for sign in [0u32, 0x8000_0000] {
+            for exp in (0u32..4).chain(99..=104).chain(111..=144) {
+                let head = sign | (exp << 23);
+                for kept in [0u32, 1, 2, 0x155, 0x2aa, 0x3fe, 0x3ff] {
+                    for dropped in [0u32, 1, 0x0fff, 0x1000, 0x1001, 0x1fff] {
+                        check(head | (kept << 13) | dropped);
+                    }
+                }
+                for mant in (0..0x0080_0000u32).step_by(97) {
+                    check(head | mant);
+                }
+            }
+        }
+        for bits in [0u32, 0x7f80_0000, 0x7fc0_0000, 0x7f80_0001, 0xffc0_0123, 0x0000_0001] {
+            check(bits);
+            check(bits | 0x8000_0000);
+        }
+    }
+
+    #[test]
+    fn array_rounding_matches_elementwise() {
+        // Mixed fast and full-conversion elements in one array.
+        let values: [f32; 12] = [
+            1.0, -0.1, 0.0, -0.0, 1e-9, 3e-6, 65519.0, 65520.0, 1e6, f32::NAN, -f32::INFINITY,
+            1.0e-40,
+        ];
+        let all = F16::round_f32_all(values);
+        for (v, r) in values.iter().zip(all) {
+            assert_eq!(r.to_bits(), F16::from_f32(*v).to_f32().to_bits(), "{v}");
+        }
+        let fast = F16::round_f32_all([0.1f32, -2.5, 1e-30, 7.0]);
+        assert_eq!(fast, [0.1f32, -2.5, 1e-30, 7.0].map(F16::round_f32));
     }
 }

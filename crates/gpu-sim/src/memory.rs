@@ -207,74 +207,111 @@ impl DeviceOutput {
     }
 }
 
+/// Ways per L2 set.
+const WAYS: usize = 16;
+
 /// Sectored, 16-way set-associative LRU cache model.
 ///
 /// Lines are 128 bytes with 4 independently-fillable 32-byte sectors,
 /// matching NVIDIA's L2 behaviour: a miss fetches only the missing sector
 /// from DRAM.
-#[derive(Debug)]
+///
+/// Sets live inline in one flat array, `WAYS + 1` words each: a header
+/// (`generation << 8 | live ways`) and then the live ways as
+/// `line << 4 | sector mask`, least recently used first. A set whose
+/// header carries an older generation is empty, so [`L2Cache::reset`]
+/// empties the whole cache in O(1) — which is what lets one allocation
+/// serve many cold launches.
 pub struct L2Cache {
-    sets: Vec<Vec<LineEntry>>,
+    capacity_bytes: usize,
     set_mask: u64,
-    ways: usize,
-    clock: u64,
+    generation: u32,
+    words: Vec<u64>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LineEntry {
-    line: u64,
-    sector_mask: u8,
-    last_use: u64,
+impl std::fmt::Debug for L2Cache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("L2Cache")
+            .field("capacity_bytes", &self.capacity_bytes)
+            .field("sets", &self.sets())
+            .field("ways", &WAYS)
+            .finish_non_exhaustive()
+    }
 }
 
 impl L2Cache {
     /// Builds a cache of approximately `capacity_bytes` (rounded down to a
     /// power-of-two set count) with 16 ways.
     pub fn new(capacity_bytes: usize) -> Self {
-        let ways = 16usize;
-        let lines = (capacity_bytes as u64 / LINE_BYTES).max(ways as u64);
-        let nsets = (lines / ways as u64).next_power_of_two() / 2;
-        let nsets = nsets.max(1);
+        let lines = (capacity_bytes as u64 / LINE_BYTES).max(WAYS as u64);
+        let nsets = ((lines / WAYS as u64).next_power_of_two() / 2).max(1) as usize;
+        // Every header starts at generation 0 and the cache at 1, so every
+        // set starts empty and the zeroed storage needs no other set-up.
         L2Cache {
-            sets: vec![Vec::with_capacity(ways); nsets as usize],
-            set_mask: nsets - 1,
-            ways,
-            clock: 0,
+            capacity_bytes,
+            set_mask: nsets as u64 - 1,
+            generation: 1,
+            words: vec![0; nsets * (WAYS + 1)],
         }
     }
 
-    /// Looks up one 32-byte sector (identified by `addr >> 5`); returns
-    /// `true` on hit. On miss the sector is installed.
-    pub fn access_sector(&mut self, sector: u64) -> bool {
-        self.clock += 1;
-        let line = sector >> 2;
-        let sector_bit = 1u8 << (sector & 3);
-        let set = &mut self.sets[(line & self.set_mask) as usize];
+    /// The `capacity_bytes` this cache was built for.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.capacity_bytes
+    }
 
-        if let Some(e) = set.iter_mut().find(|e| e.line == line) {
-            e.last_use = self.clock;
-            if e.sector_mask & sector_bit != 0 {
-                return true;
+    fn sets(&self) -> usize {
+        self.words.len() / (WAYS + 1)
+    }
+
+    /// Empties the cache in O(1): afterwards it behaves exactly like
+    /// `L2Cache::new(self.capacity_bytes())`.
+    pub(crate) fn reset(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Headers from 2^32 resets ago would alias: clear them once.
+            for header in self.words.iter_mut().step_by(WAYS + 1) {
+                *header = 0;
             }
-            e.sector_mask |= sector_bit;
-            return false;
+            self.generation = 1;
         }
-        if set.len() == self.ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-                .expect("full set is non-empty");
-            set.swap_remove(victim);
+    }
+
+    /// Looks up one 32-byte sector (identified by `addr >> 5`, so below
+    /// 2^59); returns `true` on hit. On miss the sector is installed.
+    pub fn access_sector(&mut self, sector: u64) -> bool {
+        debug_assert!(sector >> 62 == 0, "sector {sector:#x} out of range");
+        let line = sector >> 2;
+        let sector_bit = 1u64 << (sector & 3);
+        let base = (line & self.set_mask) as usize * (WAYS + 1);
+        let generation = self.generation as u64;
+        let header = self.words[base];
+        let len = if header >> 8 == generation { (header & 0xff) as usize } else { 0 };
+        let ways = &mut self.words[base + 1..base + 1 + WAYS];
+
+        if let Some(way) = ways[..len].iter().position(|&w| w >> 4 == line) {
+            // Hit on the line: it becomes the most recently used.
+            let entry = ways[way];
+            ways[way..len].rotate_left(1);
+            ways[len - 1] = entry | sector_bit;
+            return entry & sector_bit != 0;
         }
-        set.push(LineEntry { line, sector_mask: sector_bit, last_use: self.clock });
+        let entry = line << 4 | sector_bit;
+        if len == WAYS {
+            // Evict the least recently used line.
+            ways.rotate_left(1);
+            ways[WAYS - 1] = entry;
+        } else {
+            ways[len] = entry;
+            self.words[base] = generation << 8 | (len as u64 + 1);
+        }
         false
     }
 }
 
 /// Deduplicates a warp's byte addresses into unique 32-byte sectors
-/// (the coalescer). `scratch` is reused across calls to avoid allocation.
+/// (the coalescer), in ascending order. `scratch` is reused across calls
+/// to avoid allocation.
 pub fn coalesce_into(addrs: impl Iterator<Item = u64>, scratch: &mut Vec<u64>) {
     scratch.clear();
     for a in addrs {
@@ -372,7 +409,7 @@ mod tests {
     fn lru_eviction() {
         // Tiny cache: 16 ways * 1 set (capacity 2 KiB -> 16 lines).
         let mut c = L2Cache::new(2048);
-        assert_eq!(c.sets.len(), 1);
+        assert_eq!(c.sets(), 1);
         for line in 0..16u64 {
             assert!(!c.access_sector(line * 4));
         }
@@ -394,5 +431,68 @@ mod tests {
         }
         let hits = sectors.iter().filter(|&&s| c.access_sector(s)).count();
         assert_eq!(hits, sectors.len(), "resident set must fully hit");
+    }
+
+    // Deterministic test-input generator (64-bit LCG, high bits).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    #[test]
+    fn cache_matches_a_last_use_stamp_lru_reference() {
+        // Reference model: per set, (line, sector mask, last-use tick); a
+        // full set evicts the line with the smallest tick.
+        for capacity in [2048usize, 16 << 10, 64 << 10] {
+            let mut cache = L2Cache::new(capacity);
+            let nsets = cache.sets() as u64;
+            let mut sets: Vec<Vec<(u64, u8, u64)>> = vec![Vec::new(); nsets as usize];
+            let mut rng = capacity as u64;
+            for tick in 0..30_000u64 {
+                // Mostly a hot region, sometimes a cold sweep.
+                let r = lcg(&mut rng);
+                let sector = if r.is_multiple_of(4) { r % 20_000 } else { r % (nsets * 64) };
+                let (line, bit) = (sector >> 2, 1u8 << (sector & 3));
+                let set = &mut sets[(line % nsets) as usize];
+                let want = match set.iter_mut().find(|e| e.0 == line) {
+                    Some(e) => {
+                        e.2 = tick;
+                        let hit = e.1 & bit != 0;
+                        e.1 |= bit;
+                        hit
+                    }
+                    None => {
+                        if set.len() == WAYS {
+                            let lru = (0..WAYS).min_by_key(|&w| set[w].2).expect("full set");
+                            set.remove(lru);
+                        }
+                        set.push((line, bit, tick));
+                        false
+                    }
+                };
+                assert_eq!(cache.access_sector(sector), want, "capacity {capacity}, tick {tick}");
+            }
+        }
+    }
+
+    #[test]
+    fn reset_cache_behaves_like_a_new_one() {
+        let capacity = 64 << 10; // 32 sets: plenty of evictions below
+        let mut rng = 0xcafe_u64;
+        let trace: Vec<u64> = (0..20_000).map(|_| lcg(&mut rng) % 3000).collect();
+        let hits = |c: &mut L2Cache| trace.iter().map(|&s| c.access_sector(s)).collect::<Vec<_>>();
+        let fresh = hits(&mut L2Cache::new(capacity));
+        let mut reused = L2Cache::new(capacity);
+        for round in 0..3 {
+            assert_eq!(hits(&mut reused), fresh, "round {round}");
+            reused.reset();
+        }
+        // A generation counter that wraps must not resurrect stale sets.
+        reused.generation = u32::MAX;
+        hits(&mut reused);
+        reused.reset();
+        assert_eq!(reused.generation, 1);
+        assert_eq!(hits(&mut reused), fresh);
+        assert_eq!(reused.capacity_bytes(), capacity);
     }
 }

@@ -6,6 +6,7 @@
 //! f32). Also provides the `m8n8k4` primitive DASP builds on.
 
 use crate::fragment::{FragKind, Fragment, FRAG_DIM};
+use crate::half::F16;
 
 /// `wmma::mma_sync(d, a, b, c)`: `D = A × B + C`.
 ///
@@ -19,16 +20,20 @@ pub fn mma_sync(d: &mut Fragment, a: &Fragment, b: &Fragment, c: &Fragment) {
 
     // A and B register values were already rounded to f16 on write; the
     // products and the accumulation below are f32, matching tensor-core
-    // mixed precision.
-    for r in 0..FRAG_DIM {
-        for n in 0..FRAG_DIM {
-            let mut acc = c.get(r, n);
-            for k in 0..FRAG_DIM {
-                acc += a.get(r, k) * b.get(k, n);
+    // mixed precision. Every element of D is `c[r][n]` plus the products
+    // `a[r][k] * b[k][n]` added one at a time in ascending `k` (unfused),
+    // computed a whole row at a time on the row-major operands.
+    let a = a.store_matrix();
+    let b = b.store_matrix();
+    let mut m = c.store_matrix();
+    for (row, a_row) in m.chunks_exact_mut(FRAG_DIM).zip(a.chunks_exact(FRAG_DIM)) {
+        for (&a_rk, b_row) in a_row.iter().zip(b.chunks_exact(FRAG_DIM)) {
+            for (acc, &b_kn) in row.iter_mut().zip(b_row) {
+                *acc += a_rk * b_kn;
             }
-            d.set(r, n, acc);
         }
     }
+    d.load_matrix(&m);
 }
 
 /// The Volta-native `mma.sync.m8n8k4` primitive (DASP's building block):
@@ -37,13 +42,15 @@ pub fn mma_sync(d: &mut Fragment, a: &Fragment, b: &Fragment, c: &Fragment) {
 /// Operands are plain row-major arrays; DASP's row-bucketed kernels manage
 /// their own packing.
 pub fn mma_m8n8k4(a: &[f32; 32], b: &[f32; 32], c: &[f32; 64]) -> [f32; 64] {
+    // Each operand is rounded to f16 once, not once per product.
+    let a = F16::round_f32_all(*a);
+    let b = F16::round_f32_all(*b);
     let mut d = [0.0f32; 64];
     for r in 0..8 {
         for n in 0..8 {
             let mut acc = c[r * 8 + n];
             for k in 0..4 {
-                acc += crate::half::F16::round_f32(a[r * 4 + k])
-                    * crate::half::F16::round_f32(b[k * 8 + n]);
+                acc += a[r * 4 + k] * b[k * 8 + n];
             }
             d[r * 8 + n] = acc;
         }

@@ -182,12 +182,8 @@ fn decode_indices_partition_the_block() {
     for case in 0..CASES * 4 {
         let mut rng = Pcg64::new(case, 0x08);
         let bitmap = rng.next_u64();
-        let mut collected: Vec<u32> = Vec::new();
-        for lid in 0..32 {
-            let (a, b) = spaden::decode::lane_value_indices(bitmap, lid);
-            collected.extend(a);
-            collected.extend(b);
-        }
+        let (idx1, idx2) = spaden::decode::value_indices(bitmap, 0);
+        let mut collected: Vec<u32> = idx1.into_iter().chain(idx2).flatten().collect();
         collected.sort_unstable();
         let expect: Vec<u32> = (0..bitmap.count_ones()).collect();
         assert_eq!(collected, expect, "bitmap {bitmap:#x}");
