@@ -3,8 +3,8 @@
 //! the fixed host cost of one launch. These bound how fast the functional
 //! simulation itself can go.
 
-use spaden::decode::value_indices;
-use spaden::{SpadenEngine, SpmvEngine};
+use spaden::decode::{decode_matrix_values, value_indices};
+use spaden::{BitBsr, SpadenEngine, SpmvEngine};
 use spaden_bench::BenchGroup;
 use spaden_gpusim::fragment::{FragKind, Fragment};
 use spaden_gpusim::half::F16;
@@ -41,6 +41,24 @@ fn main() {
             mma_sync(&mut d, std::hint::black_box(&a), &bb, &cc)
         });
     }
+    // Spaden's operands: two 8x8 blocks on the A diagonal and the two
+    // matching vector segments in B, so six of the eight 8x8x8
+    // sub-products are all zero and skipped.
+    {
+        let mut a = Fragment::new(FragKind::MatrixA);
+        let mut bb = Fragment::new(FragKind::MatrixB);
+        for (i, j) in (0..8).flat_map(|i| (0..8).map(move |j| (i, j))) {
+            for off in [0, 8] {
+                a.set(off + i, off + j, ((i * 8 + j) % 13) as f32 - 6.0);
+                bb.set(off + i, off + j, (i % 5) as f32 * 0.5);
+            }
+        }
+        let cc = Fragment::new(FragKind::Accumulator);
+        let mut d = Fragment::new(FragKind::Accumulator);
+        g.bench("m16n16k16_block_diagonal", move || {
+            mma_sync(&mut d, std::hint::black_box(&a), &bb, &cc)
+        });
+    }
 
     // Bitmap decode: all 32 lanes of one block.
     let mut g = BenchGroup::new("decode");
@@ -48,6 +66,40 @@ fn main() {
     g.bench("value_indices_warp", || {
         value_indices(std::hint::black_box(0xdead_beef_cafe_f00du64), std::hint::black_box(64))
     });
+
+    // One fused block decode: the bitmap and offset reads, the
+    // ascending-run value gather, the vector-run load and both fragment
+    // portion writes. 256 blocks per one-warp launch amortise the
+    // launch's fixed cost; throughput counts blocks.
+    {
+        let blocked = spaden_sparse::gen::generate_blocked(
+            512,
+            256,
+            spaden_sparse::gen::Placement::Scattered,
+            &spaden_sparse::gen::FillDist::Uniform { lo: 4, hi: 40 },
+            7,
+        );
+        let bb = BitBsr::from_csr(&blocked);
+        let gpu = Gpu::new(GpuConfig::l40());
+        let bitmaps = gpu.alloc(bb.bitmaps.clone());
+        let offsets = gpu.alloc(bb.block_offsets.clone());
+        let values = gpu.alloc(bb.values.clone());
+        let x = gpu.alloc(spaden_bench::make_x(bb.ncols));
+        let blocks = bb.bnnz().min(256);
+        let mut g = BenchGroup::new("decode");
+        g.throughput(blocks as u64);
+        g.bench("block_into_fragment", || {
+            gpu.launch(1, |ctx| {
+                let mut a = Fragment::new(FragKind::MatrixA);
+                let mut b = Fragment::new(FragKind::MatrixB);
+                for k in 0..blocks {
+                    let vals = decode_matrix_values(ctx, &bitmaps, &offsets, &values, k);
+                    let start = bb.block_cols[k] * 8;
+                    ctx.fill_portion(&mut a, &mut b, 6 * (k % 2), &vals, &x, start);
+                }
+            })
+        });
+    }
 
     // f16 conversion round-trip.
     let mut g = BenchGroup::new("half");

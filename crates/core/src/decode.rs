@@ -21,29 +21,9 @@ use spaden_sparse::gen::BLOCK_DIM;
 /// with the packed-value offset made explicit): lane `lid` owns bits
 /// `2*lid` and `2*lid + 1`, and a set bit loads value `base` plus the
 /// number of set bits below it. Returns `(idx1, idx2)` per lane, `None`
-/// where the bit is clear.
-///
-/// The additions saturate: a corrupt `base` near `u32::MAX` must become an
-/// out-of-range index (a modelled OOB access SimSan reports), not wrap
-/// around to a bogus in-bounds one.
-#[inline]
-pub fn value_indices(
-    bitmap: u64,
-    base: u32,
-) -> ([Option<u32>; WARP_SIZE], [Option<u32>; WARP_SIZE]) {
-    let mut idx1 = [None; WARP_SIZE];
-    let mut idx2 = [None; WARP_SIZE];
-    // The packed-value prefix: set bits in the lanes before this one.
-    let mut below = 0u32;
-    for lid in 0..WARP_SIZE {
-        let pair = (bitmap >> (lid << 1)) as u32 & 3; // lines 1-3
-        let (set1, set2) = (pair & 1, pair >> 1);
-        idx1[lid] = (set1 != 0).then(|| base.saturating_add(below));
-        idx2[lid] = (set2 != 0).then(|| base.saturating_add(below + set1));
-        below += set1 + set2;
-    }
-    (idx1, idx2)
-}
+/// where the bit is clear. These are the lanes of the executor's
+/// ascending-run gather, which [`decode_matrix_values`] issues.
+pub use spaden_gpusim::exec::run_indices as value_indices;
 
 /// The input-vector fetch positions for one lane (Algorithm 2 lines 7–8):
 /// `B_pos1 = (lid & 3) << 1`, `B_pos2 = B_pos1 + 1` — a repeating pattern
@@ -56,8 +36,26 @@ pub fn lane_vector_positions(lid: usize) -> (usize, usize) {
 }
 
 /// Warp-level matrix decode: reads the block's bitmap and base offset
-/// (broadcast loads), then gathers only the values whose bits are set.
-/// Returns `(A_val1, A_val2)` per lane.
+/// (broadcast loads), then gathers only the values whose bits are set, as
+/// one ascending run (Algorithm 2 lines 4–6). Element `2*lid` and
+/// `2*lid + 1` are lane `lid`'s `A_val1`, `A_val2`, still in f16.
+pub fn decode_matrix_values(
+    ctx: &mut WarpCtx,
+    bitmaps: &DeviceBuffer<u64>,
+    block_offsets: &DeviceBuffer<u32>,
+    values: &DeviceBuffer<F16>,
+    a_idx: usize,
+) -> [F16; 2 * WARP_SIZE] {
+    let bmp = ctx.read(bitmaps, a_idx); // line 4 (broadcast)
+    let base = ctx.read(block_offsets, a_idx);
+    ctx.ops(6); // lines 1-3 + popcount + two predicates
+    // Lines 5-6: the conditional loads. Clear bits become computed zeros
+    // (`F16::ZERO`, which widens to +0.0) instead of loads.
+    ctx.gather_run(values, bmp, base)
+}
+
+/// [`decode_matrix_values`] widened to `(A_val1, A_val2)` per lane, for
+/// the CUDA-core kernels.
 pub fn decode_matrix_block(
     ctx: &mut WarpCtx,
     bitmaps: &DeviceBuffer<u64>,
@@ -65,17 +63,12 @@ pub fn decode_matrix_block(
     values: &DeviceBuffer<F16>,
     a_idx: usize,
 ) -> [(f32, f32); WARP_SIZE] {
-    let bmp = ctx.read(bitmaps, a_idx); // line 4 (broadcast)
-    let base = ctx.read(block_offsets, a_idx);
-    ctx.ops(6); // lines 1-3 + popcount + two predicates
+    lane_pairs(&decode_matrix_values(ctx, bitmaps, block_offsets, values, a_idx))
+}
 
-    let (idx1, idx2) = value_indices(bmp, base);
-    let val1 = ctx.gather(values, &idx1); // line 5 (conditional load)
-    let val2 = ctx.gather(values, &idx2); // line 6
-    // Clear bits become computed zeros — written to the fragment registers
-    // directly instead of being loaded. A gather leaves inactive lanes at
-    // `F16::ZERO`, which widens to exactly that +0.0.
-    std::array::from_fn(|lid| (val1[lid].to_f32(), val2[lid].to_f32()))
+/// Lane `lid`'s two decoded elements, widened exactly.
+pub(crate) fn lane_pairs(vals: &[F16; 2 * WARP_SIZE]) -> [(f32, f32); WARP_SIZE] {
+    std::array::from_fn(|lid| (vals[2 * lid].to_f32(), vals[2 * lid + 1].to_f32()))
 }
 
 /// Device column index of segment position `pos` in block-column `b_idx`,

@@ -140,8 +140,9 @@ impl SpmvEngine for SpadenNoTcEngine {
                     let b = decode_vector_segment(ctx, &d_x, bc, self.format.ncols);
                     // Two FMAs per lane (the pair of decoded elements),
                     // then a 4-lane segmented reduction: lanes 4*dr..4*dr+3
-                    // hold row dr's partial sums. Inputs round through f16
-                    // exactly as the tensor-core path does.
+                    // hold row dr's partial sums. The matrix values are
+                    // f16 already and `x` rounds through f16, exactly as on
+                    // the tensor-core path.
                     //
                     // Instruction charge: on CUDA cores the block product
                     // is a long dependent sequence (f16->f32 conversions,
@@ -155,8 +156,8 @@ impl SpmvEngine for SpadenNoTcEngine {
                     ctx.ops(CUDA_BLOCK_PRODUCT_CYCLES);
                     let mut partial = [0.0f32; WARP_SIZE];
                     for lid in 0..WARP_SIZE {
-                        partial[lid] = F16::round_f32(a[lid].0) * F16::round_f32(b[lid].0)
-                            + F16::round_f32(a[lid].1) * F16::round_f32(b[lid].1);
+                        partial[lid] = a[lid].0 * F16::round_f32(b[lid].0)
+                            + a[lid].1 * F16::round_f32(b[lid].1);
                     }
                     let sums = ctx.segmented_reduce_sum(&partial, 4);
                     ctx.ops(1); // accumulate into the row register

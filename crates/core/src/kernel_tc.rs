@@ -15,7 +15,10 @@
 
 use crate::abft::AbftChecksums;
 use crate::bitbsr::BitBsr;
-use crate::decode::{decode_matrix_block, decode_vector_segment};
+use crate::decode::{
+    checked_segment_col, decode_matrix_block, decode_matrix_values, decode_vector_segment,
+    lane_pairs,
+};
 use crate::engine::{timed, EngineError, PrepStats, SpmvEngine, SpmvRun};
 use crate::kernel_cuda::CUDA_BLOCK_PRODUCT_CYCLES;
 use spaden_gpusim::exec::{WarpCtx, WARP_SIZE};
@@ -232,21 +235,33 @@ impl SpadenEngine {
         match block_idx {
             Some(k) => {
                 let bc = ctx.read(&self.d_block_cols, k) as usize;
-                let a = decode_matrix_block(
+                let a = decode_matrix_values(
                     ctx,
                     &self.d_bitmaps,
                     &self.d_block_offsets,
                     &self.d_values,
                     k,
                 );
-                let b = decode_vector_segment(ctx, x, bc, self.format.ncols);
                 // Algorithm 3 lines 6-7: direct register writes. Lane `l`'s
                 // two decoded elements are exactly its registers
                 // [reg_base], [reg_base + 1] under the Figure-2 mapping.
-                // The executor's pair-write checks the base against that
-                // mapping and the values for f16 hazards when SimSan is on.
-                ctx.frag_write_pairs(a_frag, reg_base, &a);
-                ctx.frag_write_pairs(b_frag, reg_base, &b);
+                // The executor checks the base against that mapping and
+                // the values for f16 hazards when SimSan is on.
+                // The whole vector run is in range when its last pair is.
+                let ncols = self.format.ncols;
+                match checked_segment_col(bc, BLOCK_DIM - 2, ncols) {
+                    Some(last_pair) => {
+                        ctx.ops(3); // vector position arithmetic
+                        let start = last_pair - (BLOCK_DIM as u32 - 2);
+                        ctx.fill_portion(a_frag, b_frag, reg_base, &a, x, start);
+                    }
+                    None => {
+                        // Edge block: lanes past the matrix read zeros.
+                        let b = decode_vector_segment(ctx, x, bc, ncols);
+                        ctx.frag_write_pairs(a_frag, reg_base, &lane_pairs(&a));
+                        ctx.frag_write_pairs(b_frag, reg_base, &b);
+                    }
+                }
                 ctx.ops(2); // register move pairs issue as two instructions
                 if self.config.fragment_io == FragmentIo::SharedMemoryStaged {
                     // Conventional WMMA path: the decoded A portion and the
@@ -397,8 +412,9 @@ impl SpadenEngine {
                 ctx.ops(CUDA_BLOCK_PRODUCT_CYCLES);
                 let mut partial = [0.0f32; WARP_SIZE];
                 for lid in 0..WARP_SIZE {
-                    partial[lid] = F16::round_f32(a[lid].0) * F16::round_f32(b[lid].0)
-                        + F16::round_f32(a[lid].1) * F16::round_f32(b[lid].1);
+                    // `a` is already f16; `x` rounds as on the TC path.
+                    partial[lid] =
+                        a[lid].0 * F16::round_f32(b[lid].0) + a[lid].1 * F16::round_f32(b[lid].1);
                 }
                 let sums = ctx.segmented_reduce_sum(&partial, 4);
                 ctx.ops(1);

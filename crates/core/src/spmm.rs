@@ -13,7 +13,7 @@
 
 use crate::abft::AbftChecksums;
 use crate::bitbsr::BitBsr;
-use crate::decode::{decode_matrix_block, lane_vector_positions};
+use crate::decode::{decode_matrix_block, decode_matrix_values, lane_vector_positions};
 use crate::engine::{prepare_validated, timed, EngineError, PrepStats};
 use crate::kernel_cuda::CUDA_BLOCK_PRODUCT_CYCLES;
 use crate::kernel_tc::ABFT_MAX_RETRIES;
@@ -287,8 +287,7 @@ impl SpadenSpmmEngine {
                 for lid in 0..WARP_SIZE {
                     let b1 = if idx1[lid].is_some() { v1[lid] } else { 0.0 };
                     let b2 = if idx2[lid].is_some() { v2[lid] } else { 0.0 };
-                    partial[lid] = F16::round_f32(a[lid].0) * F16::round_f32(b1)
-                        + F16::round_f32(a[lid].1) * F16::round_f32(b2);
+                    partial[lid] = a[lid].0 * F16::round_f32(b1) + a[lid].1 * F16::round_f32(b2);
                 }
                 let sums = ctx.segmented_reduce_sum(&partial, 4);
                 ctx.ops(1);
@@ -355,24 +354,18 @@ impl SpadenSpmmEngine {
                 {
                     if cond {
                         let bc = ctx.read(&self.d_block_cols, k) as usize;
-                        let a = decode_matrix_block(
+                        let a = decode_matrix_values(
                             ctx,
                             &self.d_bitmaps,
                             &self.d_block_offsets,
                             &self.d_values,
                             k,
                         );
-                        for l in 0..WARP_SIZE {
-                            a_frag.write_reg(l, reg_base, a[l].0);
-                            a_frag.write_reg(l, reg_base + 1, a[l].1);
-                        }
+                        a_frag.write_f16_pairs(reg_base, &a);
                         ctx.ops(2);
                         self.fill_b_tile(ctx, &d_b, (b.rows, n), (bc, tile), &mut b_frag, reg_base);
                     } else {
-                        for l in 0..WARP_SIZE {
-                            a_frag.write_reg(l, reg_base, 0.0);
-                            a_frag.write_reg(l, reg_base + 1, 0.0);
-                        }
+                        a_frag.write_f16_pairs(reg_base, &[F16::ZERO; 2 * WARP_SIZE]);
                         ctx.ops(1);
                     }
                 }

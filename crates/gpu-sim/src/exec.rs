@@ -357,14 +357,25 @@ impl WarpCtx {
 
     fn account_read_sectors(&mut self) {
         for i in 0..self.scratch.len() {
-            let sector = self.scratch[i];
-            self.counters.sectors_read += 1;
-            if self.l2.access_sector(sector) {
-                self.counters.l2_hits += 1;
-            } else {
-                self.counters.dram_read_bytes += SECTOR_BYTES;
-            }
+            self.account_read_sector(self.scratch[i]);
         }
+    }
+
+    #[inline]
+    fn account_read_sector(&mut self, sector: u64) {
+        self.counters.sectors_read += 1;
+        if self.l2.access_sector(sector) {
+            self.counters.l2_hits += 1;
+        } else {
+            self.counters.dram_read_bytes += SECTOR_BYTES;
+        }
+    }
+
+    // True when fault injection or SimSan is on: both perturb or inspect
+    // individual lanes, so the fused fast paths defer to the per-lane
+    // primitives they are defined by.
+    fn instrumented(&self) -> bool {
+        self.injector.is_some() || self.san.is_some()
     }
 
     /// Warp-wide gather: active lane `l` reads `buf[idx[l]]`. One load
@@ -459,9 +470,65 @@ impl WarpCtx {
         }
     }
 
+    /// Warp-wide gather of one ascending run: the values of a bitmap-coded
+    /// block, packed in bit order from `buf[base]`. Set bit `p` of
+    /// `bitmap` reads `buf[base + (set bits below p)]`, and lane `l` owns
+    /// bits `2l` and `2l + 1`. Element `p` of the result is bit `p`'s
+    /// value, `T::default()` where the bit is clear.
+    ///
+    /// Two load instructions, exactly the two [`WarpCtx::gather`]s over
+    /// [`run_indices`] (every lane's even bit, then its odd bit): the same
+    /// values, counters, L2 access order, fault draws and SimSan reports.
+    /// The indices ascend with the bits, so each load's sectors come in
+    /// ascending order from walking its set bits, with no index arrays and
+    /// no sort. The two gathers themselves run instead when faults or
+    /// SimSan are armed, or when the run leaves the buffer or saturates
+    /// `u32` addressing.
+    pub fn gather_run<T: DeviceScalar>(
+        &mut self,
+        buf: &DeviceBuffer<T>,
+        bitmap: u64,
+        base: u32,
+    ) -> [T; 2 * WARP_SIZE] {
+        let (start, len) = (base as usize, bitmap.count_ones() as usize);
+        let end = base as u64 + len as u64;
+        let mut out = [T::default(); 2 * WARP_SIZE];
+        if self.instrumented() || end > (buf.len() as u64).min(1 << 32) {
+            let (idx1, idx2) = run_indices(bitmap, base);
+            let (v1, v2) = (self.gather(buf, &idx1), self.gather(buf, &idx2));
+            for (pair, (a, b)) in out.chunks_exact_mut(2).zip(v1.into_iter().zip(v2)) {
+                pair.copy_from_slice(&[a, b]);
+            }
+            return out;
+        }
+        let run = &buf.as_slice()[start..start + len];
+        let mut bits = bitmap;
+        for &v in run {
+            out[bits.trailing_zeros() as usize] = v;
+            bits &= bits - 1;
+        }
+        for lane_bits in [EVEN_BITS, !EVEN_BITS] {
+            self.counters.load_insts += 1;
+            let mut last = None;
+            let mut bits = bitmap & lane_bits;
+            while bits != 0 {
+                let below = bitmap & ((1u64 << bits.trailing_zeros()) - 1);
+                let sector = buf.addr_raw(start + below.count_ones() as usize) / SECTOR_BYTES;
+                if last != Some(sector) {
+                    self.account_read_sector(sector);
+                    last = Some(sector);
+                }
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
     /// Consecutive-pair read covering two elements per active lane
-    /// (`buf[i]`, `buf[i+1]`) — the access shape of Algorithm 2's value
-    /// loads. One load instruction (128-bit-style vectorised access).
+    /// (`buf[i]`, `buf[i+1]`) — the access shape of Algorithm 2's
+    /// vector-segment loads (lines 9–10) and of cuSPARSE BSR's value and
+    /// vector loads. One load instruction (128-bit-style vectorised
+    /// access).
     pub fn gather_pair<T: DeviceScalar>(
         &mut self,
         buf: &DeviceBuffer<T>,
@@ -717,6 +784,52 @@ impl WarpCtx {
         }
     }
 
+    /// Algorithm 3 lines 4–7 for one diagonal portion, once the block's
+    /// values `a` are loaded (lane `l` holds `a[2l]`, `a[2l + 1]`): loads
+    /// the 8-element vector run `x[start..start + 8]`, lane `l` reading the
+    /// pair at `start + 2 * (l % 4)` (Algorithm 2 lines 7–10), then writes
+    /// every lane's matrix pair into `a_frag` and its vector pair into
+    /// `b_frag`, registers `[reg_base]`, `[reg_base + 1]`.
+    ///
+    /// Exactly [`WarpCtx::gather_pair`] over those lanes followed by two
+    /// [`WarpCtx::frag_write_pairs`], which it runs when faults or SimSan
+    /// are armed or the run leaves `x`. Otherwise the one load touches the
+    /// sectors the run spans, the run is rounded to f16 once instead of
+    /// once per lane, and `a`, already f16, is widened without rounding.
+    pub fn fill_portion(
+        &mut self,
+        a_frag: &mut Fragment,
+        b_frag: &mut Fragment,
+        reg_base: usize,
+        a: &[F16; 2 * WARP_SIZE],
+        x: &DeviceBuffer<f32>,
+        start: u32,
+    ) {
+        let start = start as usize;
+        if self.instrumented() || start + SEGMENT > x.len() {
+            let idx = std::array::from_fn(|l| Some((start + 2 * (l % 4)) as u32));
+            let b = self.gather_pair(x, &idx);
+            let a: [(f32, f32); WARP_SIZE] =
+                std::array::from_fn(|l| (a[2 * l].to_f32(), a[2 * l + 1].to_f32()));
+            self.frag_write_pairs(a_frag, reg_base, &a);
+            self.frag_write_pairs(b_frag, reg_base, &b);
+            return;
+        }
+        self.counters.load_insts += 1;
+        let first = x.addr_raw(start) / SECTOR_BYTES;
+        for sector in first..=x.addr_raw(start + SEGMENT - 1) / SECTOR_BYTES {
+            self.account_read_sector(sector);
+        }
+        let mut run = [0.0f32; SEGMENT];
+        run.copy_from_slice(&x.as_slice()[start..start + SEGMENT]);
+        let run = F16::round_f32_all(run);
+        a_frag.write_f16_pairs(reg_base, a);
+        for (lane, regs) in b_frag.regs.iter_mut().enumerate() {
+            let p = 2 * (lane % 4);
+            regs[reg_base..reg_base + 2].copy_from_slice(&run[p..p + 2]);
+        }
+    }
+
     /// Registers `n` issued `m8n8k4` MMAs (DASP's primitive; its kernels
     /// compute with [`crate::mma::mma_m8n8k4`] directly).
     pub fn mma_m8n8k4_issue(&mut self, n: u64) {
@@ -804,6 +917,37 @@ fn active_lanes_w(writes: &[Option<(u32, f32)>; WARP_SIZE]) -> ([usize; WARP_SIZ
         }
     }
     (active, n)
+}
+
+/// Bit positions read by every lane's first load in
+/// [`WarpCtx::gather_run`]: lane `l`'s even bit `2l`.
+const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Elements of the vector run [`WarpCtx::fill_portion`] loads.
+const SEGMENT: usize = 8;
+
+/// The lane indices of [`WarpCtx::gather_run`]'s two loads: lane `l` owns
+/// bits `2l` and `2l + 1` of `bitmap`, and a set bit reads `base` plus
+/// the number of set bits below it. Returns `(idx1, idx2)` per lane,
+/// `None` where the bit is clear.
+///
+/// The additions saturate: a corrupt `base` near `u32::MAX` must become an
+/// out-of-range index (a modelled OOB access SimSan reports), not wrap
+/// around to a bogus in-bounds one.
+#[inline]
+pub fn run_indices(bitmap: u64, base: u32) -> ([Option<u32>; WARP_SIZE], [Option<u32>; WARP_SIZE]) {
+    let mut idx1 = [None; WARP_SIZE];
+    let mut idx2 = [None; WARP_SIZE];
+    // The packed-value prefix: set bits in the lanes before this one.
+    let mut below = 0u32;
+    for lid in 0..WARP_SIZE {
+        let pair = (bitmap >> (lid << 1)) as u32 & 3;
+        let (set1, set2) = (pair & 1, pair >> 1);
+        idx1[lid] = (set1 != 0).then(|| base.saturating_add(below));
+        idx2[lid] = (set2 != 0).then(|| base.saturating_add(below + set1));
+        below += set1 + set2;
+    }
+    (idx1, idx2)
 }
 
 /// Builds a lane-index array from an iterator of at most 32 indices
@@ -1390,6 +1534,182 @@ mod tests {
             ctx.atomic_add(&out, &w);
         });
         assert!(out.to_vec().iter().all(|&v| v == 1.0));
+    }
+
+    // One launch with a warp per bitmap (three per L2 shard), each loading
+    // one bitmap-coded run from `base` (plus a per-warp offset when it
+    // fits) and then probing L2 with a gather spread over the buffer, so
+    // the probe's hits expose what the run left in the cache. `fused`
+    // picks `gather_run` or the two `gather`s over `run_indices` that
+    // define it. Returns the counters, every loaded and probed value's
+    // bits, and the SimSan reports.
+    fn run_gather_launch(
+        cfg: &GpuConfig,
+        bitmaps: &[u64],
+        base: u32,
+        fused: bool,
+    ) -> (KernelCounters, Vec<u16>, Vec<SanReport>) {
+        let probe = lanes_from((0..32u32).map(|l| l * 19));
+        run_gather_probe(cfg, 600, bitmaps, base, &probe, fused)
+    }
+
+    fn run_gather_probe(
+        cfg: &GpuConfig,
+        len: usize,
+        bitmaps: &[u64],
+        base: u32,
+        probe: &[Option<u32>; WARP_SIZE],
+        fused: bool,
+    ) -> (KernelCounters, Vec<u16>, Vec<SanReport>) {
+        let g = Gpu::new(cfg.clone());
+        let buf = g.alloc((0..len).map(|i| F16::from_f32(i as f32 * 0.75 - 200.0)).collect());
+        let seen = Mutex::new(vec![Vec::new(); bitmaps.len()]);
+        let c = g.launch(bitmaps.len(), |ctx| {
+            let w = ctx.warp_id;
+            let base = base.checked_add(7 * w as u32).unwrap_or(base);
+            let bitmap = bitmaps[w];
+            let vals = if fused {
+                ctx.gather_run(&buf, bitmap, base)
+            } else {
+                let (idx1, idx2) = run_indices(bitmap, base);
+                let (v1, v2) = (ctx.gather(&buf, &idx1), ctx.gather(&buf, &idx2));
+                std::array::from_fn(|p| if p % 2 == 0 { v1[p / 2] } else { v2[p / 2] })
+            };
+            let probe = ctx.gather(&buf, probe);
+            let bits = vals.iter().chain(&probe).map(|v| v.0).collect();
+            seen.lock().unwrap()[w] = bits;
+        });
+        (c, seen.into_inner().unwrap().concat(), g.take_san_reports())
+    }
+
+    #[test]
+    fn run_gather_matches_the_two_gathers_it_is_defined_by() {
+        use crate::fault::FaultConfig;
+        use crate::san::SanConfig;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let with = |faults: FaultConfig, san: bool| {
+            let mut cfg = GpuConfig::l40();
+            cfg.faults = faults;
+            if san {
+                cfg.san = SanConfig::on();
+            }
+            cfg
+        };
+        let both_kinds = FaultConfig {
+            oob_read_rate: 0.2,
+            uninit_read_rate: 0.2,
+            ..FaultConfig::uniform(13, 0.2)
+        };
+        let configs = [
+            with(FaultConfig::disabled(), false),
+            with(FaultConfig::disabled(), true),
+            with(both_kinds, false),
+            with(both_kinds, true),
+        ];
+        // In range, runs ending past the 600-element buffer, and bases
+        // whose indices saturate at `u32::MAX`.
+        let bases = [0u32, 5, 300, 540, 580, 599, 600, 4096, u32::MAX - 40, u32::MAX];
+        for round in 0..6 {
+            // Dense, sparse and very sparse bitmaps.
+            let bitmaps: Vec<u64> = (0..46)
+                .map(|w| match (w + round) % 3 {
+                    0 => next() | next(),
+                    1 => next(),
+                    _ => next() & next() & next(),
+                })
+                .chain([0, u64::MAX])
+                .collect();
+            for cfg in &configs {
+                for &base in &bases {
+                    let fused = run_gather_launch(cfg, &bitmaps, base, true);
+                    let plain = run_gather_launch(cfg, &bitmaps, base, false);
+                    assert_eq!(fused, plain, "base {base}, faults {:?}", cfg.faults);
+                    if cfg.faults.enabled() {
+                        assert!(fused.0.faults_injected > 0, "base {base}: sites must be drawn");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_gather_keeps_the_two_loads_in_order_in_l2() {
+        // One 16-way L2 set per shard. The run's even bits read two
+        // sectors of line 62 and its odd bits one sector of line 63, so
+        // the load order decides which line is least recent. Fifteen
+        // filler lines evict line 62, refetching it evicts line 63, and
+        // the probe hits nothing. Loaded the other way round, line 62
+        // would survive and both its sectors would hit.
+        let mut cfg = GpuConfig::l40();
+        cfg.l2_bytes = 0;
+        let bitmap = 0x5555_5555_5555 | 0xaaaa << 48;
+        let probe = lanes_from((0..15u32).map(|line| line * 64).chain([4008, 4016, 4032]));
+        let fused = run_gather_probe(&cfg, 4096, &[bitmap], 4008, &probe, true);
+        let plain = run_gather_probe(&cfg, 4096, &[bitmap], 4008, &probe, false);
+        assert_eq!(fused, plain);
+        assert_eq!(plain.0.l2_hits, 0, "even-bit load first: line 62 is evicted");
+    }
+
+    #[test]
+    fn portion_fill_matches_the_pair_gather_and_writes_it_is_defined_by() {
+        use crate::fault::FaultConfig;
+        use crate::san::SanConfig;
+        // x holds values that overflow and underflow f16, so SimSan's
+        // numeric classification of the vector pairs has work to do.
+        let x: Vec<f32> = (0..100).map(|i| [0.3, -7.25, 1e6, 1e-9][i % 4] * i as f32).collect();
+        let a: [F16; 2 * WARP_SIZE] =
+            std::array::from_fn(|i| [F16::ONE, F16::ZERO, F16(0x8000), F16::INFINITY][i % 4]);
+        let run = |cfg: &GpuConfig, start: u32, fused: bool| {
+            let g = Gpu::new(cfg.clone());
+            let xb = g.alloc(x.clone());
+            let frags = Mutex::new(Vec::new());
+            let c = g.launch(32, |ctx| {
+                let (mut af, mut bf) =
+                    (Fragment::new(FragKind::MatrixA), Fragment::new(FragKind::MatrixB));
+                let start = start + 8 * (ctx.warp_id as u32 % 3);
+                for reg_base in [0, 6] {
+                    if fused {
+                        ctx.fill_portion(&mut af, &mut bf, reg_base, &a, &xb, start);
+                    } else {
+                        let idx = std::array::from_fn(|l| Some(start + 2 * (l as u32 % 4)));
+                        let b = ctx.gather_pair(&xb, &idx);
+                        let pairs =
+                            std::array::from_fn(|l| (a[2 * l].to_f32(), a[2 * l + 1].to_f32()));
+                        ctx.frag_write_pairs(&mut af, reg_base, &pairs);
+                        ctx.frag_write_pairs(&mut bf, reg_base, &b);
+                    }
+                }
+                let bits = |f: &Fragment| f.regs.concat().iter().map(|v| v.to_bits()).collect();
+                frags.lock().unwrap().push((ctx.warp_id, bits(&af), bits(&bf)));
+            });
+            let mut frags: Vec<(usize, Vec<u32>, Vec<u32>)> = frags.into_inner().unwrap();
+            frags.sort_unstable_by_key(|f| f.0);
+            (c, frags, g.take_san_reports(), g.san_numeric_counts())
+        };
+        let mut configs = Vec::new();
+        for faults in
+            [FaultConfig::disabled(), FaultConfig::uniform(5, 0.3), FaultConfig::hazards(5, 0.3)]
+        {
+            for san in [false, true] {
+                let mut cfg = GpuConfig::l40();
+                cfg.faults = faults;
+                cfg.san = if san { SanConfig::on() } else { SanConfig::default() };
+                configs.push(cfg);
+            }
+        }
+        // Aligned and unaligned runs, one straddling two sectors, and runs
+        // reaching past the 100-element buffer.
+        for start in [0u32, 8, 12, 44, 80, 90, 95] {
+            for cfg in &configs {
+                assert_eq!(run(cfg, start, true), run(cfg, start, false), "start {start}");
+            }
+        }
     }
 
     // Three launches with different access shapes over buffers allocated

@@ -197,6 +197,18 @@ impl Fragment {
         }
     }
 
+    /// Writes lane `l`'s registers `[reg_base]`, `[reg_base + 1]` with
+    /// `vals[2l]`, `vals[2l + 1]`, widened exactly. The values are already
+    /// half precision, so an A/B operand stores them as they are: this is
+    /// [`Fragment::write_reg`] of the widened values without a second
+    /// rounding that could not change them.
+    pub fn write_f16_pairs(&mut self, reg_base: usize, vals: &[F16; 2 * LANES]) {
+        let wide = F16::to_f32_all(*vals);
+        for (regs, pair) in self.regs.iter_mut().zip(wide.chunks_exact(2)) {
+            regs[reg_base..reg_base + 2].copy_from_slice(pair);
+        }
+    }
+
     /// Stores to a row-major 16×16 matrix (`wmma::store_matrix_sync`).
     pub fn store_matrix(&self) -> [f32; FRAG_DIM * FRAG_DIM] {
         let mut m = [0.0f32; FRAG_DIM * FRAG_DIM];

@@ -143,6 +143,33 @@ impl F16 {
         out
     }
 
+    /// [`F16::to_f32`] of every element, bit-identical: zeros and normals
+    /// widen branch-free over the whole array (so it vectorizes), and only
+    /// subnormals, infinities and NaNs take the full conversion.
+    #[inline]
+    pub(crate) fn to_f32_all<const N: usize>(values: [F16; N]) -> [f32; N] {
+        let mut out = [0.0f32; N];
+        let mut all_fast = true;
+        for (o, v) in out.iter_mut().zip(values) {
+            let h = v.0 as u32;
+            let magnitude = h & 0x7fff;
+            let normal = magnitude.wrapping_sub(0x0400) < 0x7800;
+            // Rebias the exponent by 127 - 15 and widen the mantissa.
+            let wide = if normal { (magnitude << 13) + (112 << 23) } else { 0 };
+            *o = f32::from_bits((h & 0x8000) << 16 | wide);
+            all_fast &= normal | (magnitude == 0);
+        }
+        if !all_fast {
+            for (o, v) in out.iter_mut().zip(values) {
+                let magnitude = v.0 & 0x7fff;
+                if magnitude != 0 && magnitude.wrapping_sub(0x0400) >= 0x7800 {
+                    *o = v.to_f32();
+                }
+            }
+        }
+        out
+    }
+
     /// True for positive or negative infinity.
     pub fn is_infinite(self) -> bool {
         (self.0 & 0x7fff) == 0x7c00
@@ -404,5 +431,20 @@ mod tests {
         }
         let fast = F16::round_f32_all([0.1f32, -2.5, 1e-30, 7.0]);
         assert_eq!(fast, [0.1f32, -2.5, 1e-30, 7.0].map(F16::round_f32));
+    }
+
+    #[test]
+    fn array_widening_matches_elementwise_on_every_f16() {
+        let all: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+        for chunk in all.chunks_exact(64) {
+            let chunk: [F16; 64] = chunk.try_into().unwrap();
+            let wide = F16::to_f32_all(chunk);
+            for (h, w) in chunk.iter().zip(wide) {
+                assert_eq!(w.to_bits(), h.to_f32().to_bits(), "{:#06x}", h.0);
+            }
+        }
+        // Zeros of both signs and normals only: the branch-free path alone.
+        let fast = F16::to_f32_all([F16::ONE, F16::ZERO, F16(0x8000), F16::MAX]);
+        assert_eq!(fast.map(f32::to_bits), [1.0f32, 0.0, -0.0, 65504.0].map(f32::to_bits));
     }
 }
