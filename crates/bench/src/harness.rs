@@ -31,7 +31,7 @@ impl BenchGroup {
         self
     }
 
-    /// Times `f`, auto-scaling iterations toward [`TARGET_SECONDS`].
+    /// Times `f`, auto-scaling iterations toward `TARGET_SECONDS`.
     pub fn bench<T>(&self, label: &str, mut f: impl FnMut() -> T) {
         std::hint::black_box(f()); // warm-up
         let t0 = Instant::now();

@@ -14,7 +14,7 @@
 //! run.
 
 pub mod batching;
-pub mod chaos10;
+pub mod chaos_sweep;
 pub mod evolve;
 pub mod experiments;
 pub mod harness;
@@ -29,7 +29,7 @@ pub mod traffic;
 pub mod verdict;
 
 pub use batching::{batch_report, run_batch_bench, BatchBenchConfig, BatchPoint, BatchReport};
-pub use chaos10::chaos_report;
+pub use chaos_sweep::chaos_report;
 pub use evolve::{evolve_report, run_evolve, EvolveReport, EvolveScenario};
 pub use experiments::*;
 pub use harness::BenchGroup;

@@ -20,10 +20,10 @@
 //!   oracle, recovery bit-identity at every crash point, High-priority
 //!   availability above the floor, counter conservation, and a
 //!   determinism digest ([`run`]).
-//! * [`shrink`]: on any violation, delta-debugging over the fault
+//! * [`shrink()`]: on any violation, delta-debugging over the fault
 //!   events and then the arrival count produces a minimal reproducer
 //!   ([`shrink`][mod@shrink]).
-//! * [`explore`] + [`ReplayFile`]: the seed sweep behind `repro chaos`,
+//! * [`explore()`] + [`ReplayFile`]: the seed sweep behind `repro chaos`,
 //!   and the text artifact `repro chaos --replay <file>` re-runs
 //!   bit-exactly ([`explore`][mod@explore], [`replay`]).
 //!
@@ -36,8 +36,7 @@ pub mod schedule;
 pub mod shrink;
 
 /// Fleet size of the chaos scenario's sharded rung (what
-/// [`FaultEvent::KillDevice`](schedule::FaultEvent::KillDevice) device
-/// indexes range over).
+/// [`FaultEvent::KillDevice`] device indexes range over).
 pub const SHARD_DEVICES: usize = 3;
 
 pub use explore::{explore, CaughtViolation, ChaosFindings, ExploreConfig, ScheduleRow};

@@ -221,8 +221,10 @@ impl EvolvingMatrix {
         batch: &DeltaBatch,
         fault: Option<UpdateFault>,
     ) -> Result<UpdateReport, UpdateError> {
-        let class = classify(&self.csr, batch);
+        // Bounds-checks the batch against this matrix before anything
+        // indexes by its positions.
         let next_csr = apply_to_csr(&self.csr, batch)?;
+        let class = classify(&self.csr, batch);
         let mut next_delta = self.delta.clone();
         let apply = next_delta.apply(batch, fault)?;
         let touched = batch.touched_block_rows();

@@ -78,16 +78,6 @@ impl KernelCounters {
             self.l2_hits as f64 / self.sectors_read as f64
         }
     }
-
-    /// All instruction-like events (diagnostics).
-    pub fn total_instructions(&self) -> u64 {
-        self.load_insts
-            + self.store_insts
-            + self.cuda_ops
-            + self.mma_m16n16k16
-            + self.mma_m8n8k4
-            + self.atomic_ops
-    }
 }
 
 /// Cumulative health and work counters of one device in a simulated

@@ -123,13 +123,6 @@ impl Gpu {
         }
     }
 
-    /// [`Gpu::free`] for output vectors.
-    pub fn free_output(&self, out: &DeviceOutput) {
-        if let Some(sh) = &self.shadow {
-            sh.free(out.base());
-        }
-    }
-
     /// True when SimSan is on for this GPU.
     pub fn san_enabled(&self) -> bool {
         self.shadow.is_some()

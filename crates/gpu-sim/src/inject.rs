@@ -65,12 +65,6 @@ impl InjectionConfig {
         self
     }
 
-    /// Overlays device-level failure processes (replacing that plane only).
-    pub fn with_device(mut self, device: DeviceFaultConfig) -> Self {
-        self.device = device;
-        self
-    }
-
     /// Arms the sanitizer (detection plane).
     pub fn with_san(mut self, san: SanConfig) -> Self {
         self.san = san;

@@ -219,7 +219,7 @@ const WAYS: usize = 16;
 /// Sets live inline in one flat array, `WAYS + 1` words each: a header
 /// (`generation << 8 | live ways`) and then the live ways as
 /// `line << 4 | sector mask`, least recently used first. A set whose
-/// header carries an older generation is empty, so [`L2Cache::reset`]
+/// header carries an older generation is empty, so `L2Cache::reset`
 /// empties the whole cache in O(1) — which is what lets one allocation
 /// serve many cold launches.
 pub struct L2Cache {

@@ -136,15 +136,6 @@ impl HazardKind {
             HazardKind::NanProduced => "nan-produced",
         }
     }
-
-    /// True for the numerical guard-rail kinds (the ones the engine layer
-    /// surfaces as `EngineError::NumericalHazard`).
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            HazardKind::F16Overflow | HazardKind::F16Underflow | HazardKind::NanProduced
-        )
-    }
 }
 
 impl fmt::Display for HazardKind {

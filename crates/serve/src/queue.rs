@@ -204,11 +204,6 @@ impl<T> AdmissionQueue<T> {
         self.classes.iter().all(|c| c.is_empty())
     }
 
-    /// Queued entries of one class.
-    pub fn len_of(&self, priority: Priority) -> usize {
-        self.classes[priority as usize].len()
-    }
-
     /// Monotonic shed counters.
     pub fn counters(&self) -> ShedCounters {
         self.counters

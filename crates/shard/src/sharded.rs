@@ -407,11 +407,6 @@ impl ShardedMatrix {
         &self.policy
     }
 
-    /// Replaces the scheduler policy.
-    pub fn set_policy(&mut self, policy: ShardPolicy) {
-        self.policy = policy;
-    }
-
     /// Expected fault-free duration of the whole request on `devices`
     /// idle devices (the serving layer prices deadlines with this).
     pub fn est_s(&self, devices: usize) -> f64 {

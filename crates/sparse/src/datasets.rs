@@ -90,11 +90,6 @@ pub struct Dataset {
     pub csr: Csr,
 }
 
-/// All 14 Table-1 matrices, paper order.
-pub fn all_datasets() -> Vec<DatasetSpec> {
-    ALL_DATASETS.to_vec()
-}
-
 macro_rules! spec {
     ($name:literal, $nrow:literal, $nnz:literal, $bnrow:literal, $bnnz:literal,
      $in_scope:literal, $placement:expr, $fill:expr) => {

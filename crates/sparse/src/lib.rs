@@ -7,7 +7,7 @@
 //! side, independent of any GPU model:
 //!
 //! * the classic storage formats the paper discusses in Section 2
-//!   ([`Coo`], [`Csr`], [`Ell`], [`Dia`], [`Hyb`], [`Bsr`]), each with
+//!   ([`Coo`], [`Csr`], [`Ell`], [`Hyb`], [`Bsr`]), each with
 //!   validated construction, conversions, byte accounting and reference
 //!   (serial and optionally thread-parallel, see [`par`]) SpMV kernels that
 //!   act as correctness oracles for every simulated GPU kernel;
@@ -28,12 +28,10 @@
 
 pub mod bsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod datasets;
 pub mod delta;
 pub mod dense;
-pub mod dia;
 pub mod ell;
 pub mod fingerprint;
 pub mod gen;
@@ -44,22 +42,18 @@ pub mod partition;
 pub mod reorder;
 pub mod rng;
 pub mod scan;
-pub mod sell;
 pub mod stats;
 pub mod types;
 
 pub use bsr::Bsr;
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use datasets::{Dataset, DatasetSpec, ALL_DATASETS, IN_SCOPE_DATASETS};
 pub use delta::{Delta, DeltaBatch, DeltaClass, UpdateError};
 pub use dense::Dense;
-pub use dia::Dia;
 pub use ell::Ell;
 pub use fingerprint::{fingerprint, Fnv, MatrixFingerprint};
 pub use hyb::Hyb;
 pub use rng::Pcg64;
-pub use sell::Sell;
 pub use stats::{BlockClass, BlockProfile};
 pub use types::{SparseError, SparseResult};

@@ -5,7 +5,7 @@
 //! or the newest snapshot, a duplicated frame, a lost fsync that drops
 //! an interior record while later ones survive. Injection is
 //! deterministic given a seed, and every fault reports exactly what it
-//! did so a harness can assert the matching typed [`WalError`] surfaces
+//! did so a harness can assert the matching typed [`WalError`](crate::WalError) surfaces
 //! during recovery.
 
 use crate::store::StoreImage;

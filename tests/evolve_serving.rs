@@ -10,7 +10,9 @@ use spaden_gpusim::{Gpu, GpuConfig};
 use spaden_serve::{
     OpenRequest, Priority, Request, ScheduledUpdate, ServeConfig, ServeError, SpmvServer,
 };
-use spaden_sparse::delta::{Delta, DeltaBatch, UpdateError};
+use spaden_sparse::delta::{
+    apply_to_csr, encode_deltas, BatchDecodeError, Delta, DeltaBatch, UpdateError,
+};
 use spaden_sparse::{gen, Csr};
 use std::collections::BTreeSet;
 
@@ -189,4 +191,47 @@ fn value_only_updates_reslice_and_structural_updates_repartition() {
     let ok = server.serve(Request { matrix: h, x: x.clone(), deadline_s: None }).unwrap();
     assert_eq!(ok.epoch, 2);
     assert_matches_oracle(&ok.y, &final_truth, &x);
+}
+
+/// Hostile batches through both constructors, validated against the
+/// matrix's shape and against one wide enough to admit `u32::MAX`
+/// indices: each ends in a typed error, or in a commit whose next read
+/// is served verified — never a panic.
+#[test]
+fn hostile_update_batches_end_typed_or_served_verified() {
+    let (_, csr) = evolving_server(0);
+    let d = |(row, col): (u32, u32), value: f32| Delta { row, col, value };
+    let old = (0..csr.nrows).find_map(|r| csr.row(r).0.first().map(|&c| (r as u32, c))).unwrap();
+    let new = new_block_batch(&csr, 1).deltas()[0];
+    let new = (new.row, new.col);
+    let cases = [
+        ("row u32::MAX", vec![d((u32::MAX, 0), 1.0)]),
+        ("col u32::MAX", vec![d((0, u32::MAX), 1.0)]),
+        ("empty", vec![]),
+        ("duplicate", vec![d(old, 1.0), d(old, 2.0)]),
+        ("+f32::MAX", vec![d(old, f32::MAX)]),
+        ("-f32::MAX new block", vec![d(new, -f32::MAX)]),
+        ("above f16 range", vec![d(old, 65520.0), d(new, -1e6)]),
+        ("denormals", vec![d(old, 1e-40), d(new, 3e-6)]),
+    ];
+    let wide = u32::MAX as usize + 1;
+    let x = make_x(csr.ncols);
+    for (name, deltas) in cases {
+        for (nrows, ncols) in [(csr.nrows, csr.ncols), (wide, wide)] {
+            let built = DeltaBatch::new(deltas.clone(), nrows, ncols);
+            let decoded = DeltaBatch::from_bytes(&encode_deltas(&deltas), nrows, ncols);
+            assert_eq!(decoded, built.clone().map_err(BatchDecodeError::Invalid), "{name}");
+            let Ok(batch) = built else { continue };
+            let (mut server, _) = evolving_server(0);
+            let h = server.register_evolving(&csr, EvolveConfig::default()).unwrap();
+            let (epoch, truth) = match server.update(h, &batch) {
+                Ok(_) => (1, apply_to_csr(&csr, &batch).expect("a committed batch applies")),
+                Err(_) => (0, csr.clone()),
+            };
+            let read = Request { matrix: h, x: x.clone(), deadline_s: Some(1.0) };
+            let ok = server.serve(read).unwrap_or_else(|e| panic!("{name}: read failed: {e}"));
+            assert_eq!(ok.epoch, epoch, "{name}");
+            assert_matches_oracle(&ok.y, &truth, &x);
+        }
+    }
 }

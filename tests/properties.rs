@@ -191,35 +191,6 @@ fn decode_indices_partition_the_block() {
 }
 
 #[test]
-fn sell_roundtrip_arbitrary() {
-    for case in 0..CASES {
-        let mut rng = Pcg64::new(case, 0x09);
-        let csr = arb_csr(&mut rng);
-        let chunk = 1usize << (1 + rng.below(5) as u32);
-        let sigma_mult = 1 + rng.below_usize(7);
-        let sell = spaden_sparse::sell::Sell::from_csr(&csr, chunk, chunk * sigma_mult);
-        assert_eq!(sell.nnz(), csr.nnz());
-        assert_eq!(sell.to_csr(), csr);
-    }
-}
-
-#[test]
-fn csc_roundtrip_and_spmv_arbitrary() {
-    for case in 0..CASES {
-        let mut rng = Pcg64::new(case, 0x0a);
-        let csr = arb_csr(&mut rng);
-        let csc = spaden_sparse::csc::Csc::from_csr(&csr);
-        assert_eq!(csc.to_csr(), csr.clone());
-        let x: Vec<f32> = (0..csr.ncols).map(|i| ((i % 9) as f32) / 4.0 - 1.0).collect();
-        let ya = csc.spmv(&x).unwrap();
-        let yb = csr.spmv(&x).unwrap();
-        for (a, b) in ya.iter().zip(&yb) {
-            assert!((a - b).abs() <= 1e-4 * b.abs().max(1.0));
-        }
-    }
-}
-
-#[test]
 fn merge_csr_engine_matches_oracle_arbitrary() {
     for case in 0..CASES {
         let mut rng = Pcg64::new(case, 0x0b);

@@ -4,7 +4,7 @@
 
 use spaden::gpusim::half::F16;
 use spaden::BitBsr;
-use spaden_sparse::{bsr::Bsr, csr::Csr, dia::Dia, ell::Ell, gen, hyb::Hyb, mtx};
+use spaden_sparse::{bsr::Bsr, csr::Csr, ell::Ell, gen, hyb::Hyb, mtx};
 
 fn matrices() -> Vec<(&'static str, Csr)> {
     vec![
@@ -52,13 +52,6 @@ fn csr_bsr_roundtrip() {
     for (name, m) in matrices() {
         assert_eq!(Bsr::from_csr(&m).to_csr(), m, "{name}");
     }
-}
-
-#[test]
-fn csr_dia_roundtrip() {
-    // DIA explodes on scattered matrices; test only the banded ones.
-    let m = gen::banded(180, 5, 4, 9);
-    assert_eq!(Dia::from_csr(&m).to_csr(), m);
 }
 
 #[test]
@@ -119,6 +112,5 @@ fn all_formats_agree_on_spmv() {
     check("ell", Ell::from_csr(&m).spmv(&x).unwrap());
     check("hyb", Hyb::from_csr(&m).spmv(&x).unwrap());
     check("bsr", Bsr::from_csr(&m).spmv(&x).unwrap());
-    check("dia", Dia::from_csr(&m).spmv(&x).unwrap());
     check("par", m.spmv_par(&x).unwrap());
 }
