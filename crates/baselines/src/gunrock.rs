@@ -54,7 +54,7 @@ impl GunrockEngine {
         }
     }
 
-    fn run_warp(&self, ctx: &mut WarpCtx, d_x: &DeviceBuffer<f32>, y: &DeviceOutput) {
+    fn run_warp<'o>(&self, ctx: &mut WarpCtx<'o>, d_x: &DeviceBuffer<f32>, y: &'o DeviceOutput) {
         let base = ctx.warp_id * WARP_SIZE;
         let n = WARP_SIZE.min(self.nnz - base);
         let mut idx = [None; WARP_SIZE];

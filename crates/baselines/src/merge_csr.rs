@@ -74,7 +74,7 @@ impl MergeCsrEngine {
         }
     }
 
-    fn run_warp(&self, ctx: &mut WarpCtx, d_x: &DeviceBuffer<f32>, y: &DeviceOutput) {
+    fn run_warp<'o>(&self, ctx: &mut WarpCtx<'o>, d_x: &DeviceBuffer<f32>, y: &'o DeviceOutput) {
         let total_items = self.nnz + self.nrows;
         let begin = (ctx.warp_id * ITEMS_PER_WARP).min(total_items);
         let end = (begin + ITEMS_PER_WARP).min(total_items);

@@ -5,7 +5,9 @@
 
 use spaden::decode::{decode_matrix_values, value_indices};
 use spaden::{BitBsr, SpadenEngine, SpmvEngine};
+use spaden_baselines::GunrockEngine;
 use spaden_bench::BenchGroup;
+use spaden_gpusim::exec::POOLED_MIN_WARPS;
 use spaden_gpusim::fragment::{FragKind, Fragment};
 use spaden_gpusim::half::F16;
 use spaden_gpusim::memory::{coalesce_into, L2Cache};
@@ -128,13 +130,26 @@ fn main() {
     }
 
     // Fixed host cost per launch: an empty one-warp launch on each GPU
-    // preset, and one ABFT-checked Spaden SpMV on a served-size matrix
-    // (96x96, ~1.2k nonzeros), which is one launch plus verification.
+    // preset, which runs inline, and an empty launch of the fewest warps
+    // that run on the shard pool, which adds the pool's wake-up and join.
+    // Then one Gunrock SpMV on a 2,048-row scale-free matrix: a pooled
+    // launch of about one atomic per nonzero, whose per-shard atomic logs
+    // replay at merge.
     let g = BenchGroup::new("launch");
     for (label, config) in [("empty_l40", GpuConfig::l40()), ("empty_v100", GpuConfig::v100())] {
         let gpu = Gpu::new(config);
         g.bench(label, || gpu.launch(1, |_| {}));
     }
+    {
+        let gpu = Gpu::new(GpuConfig::l40());
+        g.bench("empty", || gpu.launch(POOLED_MIN_WARPS, |_| {}));
+        let graph = spaden_sparse::gen::scale_free(2048, 24_000, 1.15, 11);
+        let x = spaden_bench::make_x(graph.ncols);
+        let eng = GunrockEngine::prepare(&gpu, &graph);
+        g.bench("gunrock_atomic_heavy", || eng.run(&gpu, std::hint::black_box(&x)));
+    }
+    // One ABFT-checked Spaden SpMV on a served-size matrix (96x96, ~1.2k
+    // nonzeros), which is one launch plus verification.
     let small = spaden_sparse::gen::random_uniform(96, 96, 1300, 3);
     let x: Vec<f32> = (0..96).map(|i| (i % 7) as f32 * 0.25).collect();
     let g = BenchGroup::new("spaden");
@@ -144,7 +159,7 @@ fn main() {
         g.bench("run_checked_96x96", || eng.run_checked(&gpu, std::hint::black_box(&x)));
     }
 
-    // Reference CSR SpMV serial vs thread-parallel.
+    // Reference CSR SpMV serial vs row-parallel on the pool.
     let csr = spaden_sparse::gen::random_uniform(20_000, 20_000, 600_000, 5);
     let x: Vec<f32> = (0..20_000).map(|i| (i % 17) as f32).collect();
     let mut g = BenchGroup::new("reference_spmv");

@@ -268,7 +268,8 @@ mod tests {
 
     #[test]
     fn spmv_parallel_matches_serial() {
-        let m = crate::gen::random_uniform(257, 123, 2000, 42);
+        // Enough rows to run on the pool rather than inline.
+        let m = crate::gen::random_uniform(crate::par::MIN_POOLED_ITEMS + 257, 123, 16_000, 42);
         let x: Vec<f32> = (0..123).map(|i| (i as f32).sin()).collect();
         assert_eq!(m.spmv(&x).unwrap(), m.spmv_par(&x).unwrap());
     }

@@ -9,7 +9,7 @@
 //! * the classic storage formats the paper discusses in Section 2
 //!   ([`Coo`], [`Csr`], [`Ell`], [`Hyb`], [`Bsr`]), each with
 //!   validated construction, conversions, byte accounting and reference
-//!   (serial and optionally thread-parallel, see [`par`]) SpMV kernels that
+//!   (serial and thread-parallel, see [`par`]) SpMV kernels that
 //!   act as correctness oracles for every simulated GPU kernel;
 //! * MatrixMarket I/O ([`mtx`]) so real SuiteSparse files can be used when
 //!   available;

@@ -8,7 +8,8 @@
 use crate::par;
 
 /// Below this length the parallel scan falls back to the serial one;
-/// the split/recombine overhead dominates for small inputs.
+/// the split/recombine overhead dominates for small inputs. At or above
+/// it, each chunk is one task on the [`par`] pool.
 const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Serial exclusive scan: returns `out` with `out[i] = sum(counts[..i])`
@@ -39,7 +40,7 @@ pub fn exclusive_scan_par(counts: &[u32]) -> Vec<u32> {
     let chunk = counts.len().div_ceil(nchunks);
     let nchunks = counts.len().div_ceil(chunk);
 
-    let partials: Vec<u64> = par::map_indexed(nchunks, |ci| {
+    let partials: Vec<u64> = par::map_tasks(nchunks, |ci| {
         let lo = ci * chunk;
         let hi = (lo + chunk).min(counts.len());
         counts[lo..hi].iter().map(|&x| x as u64).sum()
@@ -61,7 +62,7 @@ pub fn exclusive_scan_par(counts: &[u32]) -> Vec<u32> {
         .zip(bases.iter())
         .map(|((o, c), &base)| (o, c, base))
         .collect();
-    par::for_each_item(fill, |_, (o, c, base)| {
+    par::for_each_task(fill, |_, (o, c, base)| {
         let mut acc = base;
         for (oi, &ci) in o.iter_mut().zip(c) {
             acc += ci as u64;

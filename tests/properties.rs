@@ -171,7 +171,8 @@ fn fragment_mapping_bijection_full_probe() {
 fn scan_parallel_equals_serial() {
     for case in 0..CASES {
         let mut rng = Pcg64::new(case, 0x07);
-        let len = rng.below_usize(500);
+        // Above the scan's serial cutoff (2^15), so the pool runs it.
+        let len = (1 << 15) + rng.below_usize(500);
         let counts: Vec<u32> = (0..len).map(|_| rng.below(1000) as u32).collect();
         assert_eq!(exclusive_scan_par(&counts), exclusive_scan(&counts));
     }
