@@ -16,8 +16,8 @@
 //! * zero torn or stale reads: every served result matches the f64
 //!   oracle of *exactly* the epoch it was admitted on, and that epoch is
 //!   exactly the one committed at its arrival time;
-//! * the partition plan survives value-only updates (checksums
-//!   re-sliced) and is rebuilt on structural ones;
+//! * the evolve layer's value-only and structural commit counts match
+//!   the schedule;
 //! * availability holds through the update storm;
 //! * PageRank on the before/after snapshots converges, so the evolving
 //!   matrix is a live graph workload, not just a buffer under churn.
@@ -375,22 +375,17 @@ pub fn run_evolve(gpu: &GpuConfig, cfg: &EvolveScenario) -> EvolveReport {
         ),
     });
 
-    // 5. Plan-cache behaviour: value-only commits re-slice the partition
-    // plan, structural commits rebuild it; the class ledger agrees with
-    // the evolve layer's counters.
-    let resliced =
-        update_results.iter().filter_map(|r| r.as_ref().ok()).filter(|o| o.partition_resliced).count();
-    let repartitioned =
-        update_results.iter().filter_map(|r| r.as_ref().ok()).filter(|o| o.repartitioned).count();
+    // 5. The evolve layer's class counters agree with the schedule.
     checks.push(Check {
-        name: "plan survives value-only, rebuilt on structural",
-        pass: resliced as u64 == plan.expected_value_only
-            && repartitioned as u64 == plan.expected_structural
-            && stats.value_only_batches == plan.expected_value_only
+        name: "commit classes match the schedule",
+        pass: stats.value_only_batches == plan.expected_value_only
             && stats.structural_batches == plan.expected_structural,
         detail: format!(
-            "{resliced} resliced / {repartitioned} repartitioned vs {} value-only / {} structural",
-            plan.expected_value_only, plan.expected_structural
+            "{} value-only / {} structural vs {} / {} scheduled",
+            stats.value_only_batches,
+            stats.structural_batches,
+            plan.expected_value_only,
+            plan.expected_structural
         ),
     });
 
@@ -499,25 +494,17 @@ pub fn evolve_report(gpu: &GpuConfig, cfg: &EvolveScenario) -> (Vec<Table>, Verd
 
     let mut ledger = Table::new(
         format!("Streaming update ledger ({})", gpu.name),
-        &["t_us", "class", "fault", "outcome", "side Δ", "compact", "touched brs", "plan"],
+        &["t_us", "class", "fault", "outcome", "side Δ", "compact", "touched brs"],
     );
     for r in &report.updates {
-        let (outcome, side, compact, touched, plan) = match &r.outcome {
+        let (outcome, side, compact, touched) = match &r.outcome {
             Ok(o) => (
                 format!("epoch {}", o.report.epoch),
                 (o.report.apply.side_inserts + o.report.apply.side_updates).to_string(),
                 if o.report.compacted { "yes" } else { "-" }.to_string(),
                 o.report.touched_block_rows.to_string(),
-                if o.partition_resliced {
-                    "resliced"
-                } else if o.repartitioned {
-                    "rebuilt"
-                } else {
-                    "-"
-                }
-                .to_string(),
             ),
-            Err(e) => (format!("ROLLBACK: {e}"), "-".into(), "-".into(), "-".into(), "-".into()),
+            Err(e) => (format!("ROLLBACK: {e}"), "-".into(), "-".into(), "-".into()),
         };
         ledger.push_row(vec![
             format!("{:.1}", r.at_s * 1e6),
@@ -527,7 +514,6 @@ pub fn evolve_report(gpu: &GpuConfig, cfg: &EvolveScenario) -> (Vec<Table>, Verd
             side,
             compact,
             touched,
-            plan,
         ]);
     }
 
@@ -569,8 +555,6 @@ mod tests {
         assert_eq!(tables.len(), 2);
         let ledger = tables[0].to_string();
         assert!(ledger.contains("ROLLBACK"), "{ledger}");
-        assert!(ledger.contains("resliced"), "{ledger}");
-        assert!(ledger.contains("rebuilt"), "{ledger}");
     }
 
     #[test]

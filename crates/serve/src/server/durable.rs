@@ -3,6 +3,7 @@
 
 use super::{MatrixEntry, MatrixHandle, RecoveryReport, ServeError, SpmvServer};
 use spaden::{EvolveConfig, EvolvingMatrix};
+use spaden_plan::MatrixStats;
 use spaden_sparse::csr::Csr;
 use spaden_sparse::fingerprint;
 use spaden_store::{recover, DurableStore, SnapshotPolicy, StoreImage};
@@ -65,7 +66,8 @@ impl SpmvServer {
         ev: Box<EvolvingMatrix>,
         policy: SnapshotPolicy,
     ) -> Result<MatrixHandle, ServeError> {
-        let (current, sharded) = self.build_evolved(&ev, None)?;
+        let fp = fingerprint(ev.csr());
+        let (current, sharded) = self.build_evolved(&ev, &MatrixStats::from_fingerprint(&fp))?;
         // Recovery ends with a checkpoint: a fresh store snapshotted at
         // the recovered epoch with an empty log, so a second crash
         // recovers from here with zero replay.
@@ -73,7 +75,7 @@ impl SpmvServer {
         self.matrices.push(MatrixEntry {
             current: Arc::new(current),
             sharded,
-            fp: fingerprint(ev.csr()),
+            fp,
             evolving: Some(ev),
             store: Some(Box::new(store)),
         });

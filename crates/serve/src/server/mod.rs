@@ -84,7 +84,7 @@ use spaden::{
 };
 use spaden_baselines::CusparseCsrEngine;
 use spaden_gpusim::{DeviceFaultConfig, Gpu, InjectionConfig};
-use spaden_shard::{DeviceFleet, PartitionCache, PartitionCacheStats, ShardedMatrix};
+use spaden_shard::{DeviceFleet, ShardedMatrix};
 use spaden_sparse::MatrixFingerprint;
 #[cfg(doc)]
 use spaden::engine::EngineError;
@@ -105,9 +105,11 @@ struct PreparedMatrix {
     scalar: SpadenNoTcEngine,
     csr: CusparseCsrEngine,
     sums: CsrChecksums,
-    /// Simulated seconds of one clean run per rung, measured from real
-    /// launch counters at registration. Failed attempts are charged this
-    /// much; deadline admission checks it against the remaining budget.
+    /// Simulated seconds of one clean run per rung, predicted by the
+    /// plan layer's cost model from the matrix structure (the sharded
+    /// rung's is its shards' predictions over a full healthy fleet).
+    /// Failed attempts are charged this much; deadline admission checks
+    /// it against the remaining budget.
     est_cost_s: [f64; RUNGS],
     /// Planner-ordered single-device rungs for this matrix (the sharded
     /// rung, when configured, always goes first).
@@ -145,8 +147,7 @@ struct BatchPlan {
 }
 
 /// A registered matrix slot: the head snapshot served to new requests,
-/// the optional update lifecycle, and the head's content fingerprint
-/// (the partition-cache key for value-only plan reslicing).
+/// the optional update lifecycle, and the head's content fingerprint.
 struct MatrixEntry {
     current: Arc<PreparedMatrix>,
     /// Sharded form of the *head epoch*; `None` when no fleet is
@@ -173,10 +174,6 @@ pub struct SpmvServer {
     matrices: Vec<MatrixEntry>,
     /// The sharded rung's devices; `None` disables the rung.
     fleet: Option<DeviceFleet>,
-    /// Fingerprint-keyed partition plans: re-registering a matrix the
-    /// fleet has already partitioned skips the balance pass and the
-    /// per-shard staging runs.
-    partition_cache: PartitionCache,
     breakers: [CircuitBreaker; RUNGS],
     queue: BoundedQueue<(usize, Request)>,
     /// Open-loop admission queue (priority classes, expiry at dequeue).
@@ -215,7 +212,6 @@ impl SpmvServer {
             config,
             matrices: Vec::new(),
             fleet,
-            partition_cache: PartitionCache::default(),
             breakers,
             queue,
             open_queue,
@@ -317,11 +313,6 @@ impl SpmvServer {
     /// unknown handles and matrices registered without a lifecycle).
     pub fn evolve_stats(&self, h: MatrixHandle) -> Option<EvolveStats> {
         self.matrices.get(h.0).and_then(|e| e.evolving.as_ref()).map(|ev| ev.stats())
-    }
-
-    /// Hit/miss counters of the sharded rung's partition-plan cache.
-    pub fn partition_cache_stats(&self) -> PartitionCacheStats {
-        self.partition_cache.stats()
     }
 
     /// Shed counters of the open-loop admission queue (expired at

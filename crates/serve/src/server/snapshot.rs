@@ -6,17 +6,16 @@ use super::{
     UpdateOutcome, RUNGS,
 };
 use crate::checksum::CsrChecksums;
-use spaden::engine::{EngineError, SpmvRun};
+use spaden::engine::EngineError;
 use spaden::{
     AbftChecksums, EvolveConfig, EvolvingMatrix, SideEntry, SpadenConfig, SpadenEngine,
-    SpadenNoTcEngine, SpadenSpmmEngine, SpmvEngine, UpdateFault,
+    SpadenNoTcEngine, SpadenSpmmEngine, UpdateFault,
 };
 use spaden_baselines::CusparseCsrEngine;
-use spaden_gpusim::GpuConfig;
-use spaden_plan::{predict_spmm_time, predict_time, MatrixStats};
-use spaden_shard::{PartitionKey, ShardPolicy, ShardedMatrix};
+use spaden_plan::{predict_spmm_time, predict_time, spmm_crossover, MatrixStats};
+use spaden_shard::{ShardPolicy, ShardedMatrix};
 use spaden_sparse::csr::Csr;
-use spaden_sparse::delta::{DeltaBatch, DeltaClass, UpdateError};
+use spaden_sparse::delta::{DeltaBatch, UpdateError};
 use spaden_sparse::fingerprint;
 use std::sync::Arc;
 
@@ -28,20 +27,20 @@ const SINGLE_RUNGS: [Rung; 3] = [Rung::SpadenChecked, Rung::SpadenScalar, Rung::
 /// predicted wins never outrank stronger verification.
 const PROMOTION_MARGIN: f64 = 1.25;
 
-/// Orders the single-device rungs for one matrix from the cost model's
-/// predictions. Canonical order is the tie-break: a rung is promoted one
-/// position at a time, only while it beats the rung above it by
-/// [`PROMOTION_MARGIN`]. Every rung stays in the ladder — in particular
-/// the ABFT-checked rung is always retained, demoted at most, so a
-/// faulty fast path still falls back to self-correcting execution.
-fn planned_ladder(stats: &MatrixStats, config: &GpuConfig) -> [Rung; 3] {
+/// Orders the single-device rungs for one matrix from their predicted
+/// costs (`est_cost_s`, indexed by rung). Canonical order is the
+/// tie-break: a rung is promoted one position at a time, only while it
+/// beats the rung above it by [`PROMOTION_MARGIN`]. Every rung stays in
+/// the ladder — in particular the ABFT-checked rung is always retained,
+/// demoted at most, so a faulty fast path still falls back to
+/// self-correcting execution.
+fn planned_ladder(est_cost_s: &[f64; RUNGS]) -> [Rung; 3] {
     let mut order = SINGLE_RUNGS;
-    let mut t = order.map(|r| predict_time(r.engine_kind(), stats, config).seconds);
+    let t = |r: Rung| est_cost_s[r as usize];
     for i in 1..order.len() {
         let mut j = i;
-        while j > 0 && t[j - 1] >= PROMOTION_MARGIN * t[j] {
+        while j > 0 && t(order[j - 1]) >= PROMOTION_MARGIN * t(order[j]) {
             order.swap(j - 1, j);
-            t.swap(j - 1, j);
             j -= 1;
         }
     }
@@ -55,43 +54,39 @@ const SHARDS_PER_DEVICE: usize = 2;
 impl SpmvServer {
     /// Builds the batched-serving plan for one epoch's logical matrix,
     /// or `None` when batching is disabled (the SpMM engine is never
-    /// prepared — the bit-identity guarantee of [`BatchConfig`]).
-    /// `est_spmv_s` is the measured per-request cost of the
-    /// ABFT-checked rung, the baseline of the crossover decision.
-    fn batch_plan(&self, csr: &Csr, est_spmv_s: f64) -> Result<Option<BatchPlan>, ServeError> {
+    /// prepared — the bit-identity guarantee of [`BatchConfig`]). The
+    /// crossover compares modelled SpMM sweeps against the modelled SpMV
+    /// of the ABFT-checked rung, the same estimate the ladder uses.
+    fn batch_plan(&self, csr: &Csr, stats: &MatrixStats) -> Result<Option<BatchPlan>, ServeError> {
         if !self.config.batch.enabled {
             return Ok(None);
         }
+        let config = &self.gpu.config;
         let max_width = self.config.batch.max_width.max(1);
         let spmm = SpadenSpmmEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
-        let stats = MatrixStats::of(csr);
-        let cost_s: Vec<f64> = (1..=max_width)
-            .map(|k| predict_spmm_time(&stats, k, &self.gpu.config).seconds)
-            .collect();
-        let crossover = (2..=max_width)
-            .find(|&w| cost_s[w - 1] < w as f64 * est_spmv_s)
-            .unwrap_or(usize::MAX);
+        let cost_s: Vec<f64> =
+            (1..=max_width).map(|k| predict_spmm_time(stats, k, config).seconds).collect();
+        let crossover = spmm_crossover(stats, config, max_width).unwrap_or(usize::MAX);
         Ok(Some(BatchPlan { spmm, cost_s, crossover }))
     }
 
     /// Builds the serving form of one epoch — the only place a
     /// [`PreparedMatrix`] is constructed. `csr` is the epoch's logical
-    /// truth and `spaden` its tensor-core engine over the base bitBSR;
-    /// `side` and `logical` are the uncompacted tail and the checksums
-    /// that verify base plus tail. The scalar rung reuses `spaden`'s
-    /// format (no second conversion); the CSR rung, its f32 checksums
-    /// and the sharded form (through the partition cache) come from
-    /// `csr`. `reuse` carries a previous epoch's ladder and cost
-    /// estimates across a value-only commit; without it one plain run
-    /// per rung prices the ladder.
+    /// truth, `stats` its structure statistics (from its fingerprint),
+    /// and `spaden` its tensor-core engine over the base bitBSR; `side`
+    /// and `logical` are the uncompacted tail and the checksums that
+    /// verify base plus tail. The scalar rung reuses `spaden`'s format
+    /// (no second conversion); the CSR rung, its f32 checksums and the
+    /// sharded form come from `csr`. Every rung is priced by the cost
+    /// model, so the build launches no kernel.
     fn build_snapshot(
-        &mut self,
+        &self,
         csr: &Csr,
+        stats: &MatrixStats,
         spaden: SpadenEngine,
         side: Vec<SideEntry>,
         logical: Option<AbftChecksums>,
         epoch: u64,
-        reuse: Option<([Rung; 3], [f64; RUNGS])>,
     ) -> Result<(PreparedMatrix, Option<ShardedMatrix>), ServeError> {
         let scalar = SpadenNoTcEngine::try_from_parts(&self.gpu, spaden.format().clone())
             .map_err(ServeError::Invalid)?;
@@ -99,46 +94,29 @@ impl SpmvServer {
             CusparseCsrEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
         let sums = CsrChecksums::build(csr);
         // The sharded form's checksums are slices of the full matrix's
-        // (never recomputed); a cached partition plan skips the balance
-        // pass and the per-shard staging runs.
-        let sharded = match &self.fleet {
-            Some(fleet) => Some(
-                ShardedMatrix::try_new_cached(
-                    &self.gpu.config,
-                    csr,
-                    fleet.len() * SHARDS_PER_DEVICE,
-                    ShardPolicy::default(),
-                    &mut self.partition_cache,
-                )
-                .map_err(ServeError::Invalid)?,
-            ),
-            None => None,
-        };
-        let (ladder, est_cost_s) = match reuse {
-            Some(reused) => reused,
-            None => {
-                // Cost estimates from real counters: one plain (unchecked)
-                // run per rung. Counter totals depend on structure, not
-                // values, so the estimate holds for every future x. The
-                // sharded estimate assumes a full healthy fleet; the
-                // scheduler re-prices after crashes.
-                let x0 = vec![0.0f32; csr.ncols];
-                let est = |run: Result<SpmvRun, EngineError>| {
-                    run.map(|r| r.time.seconds).map_err(ServeError::Invalid)
-                };
-                let est_cost_s = [
-                    match (&sharded, &self.fleet) {
-                        (Some(sm), Some(fleet)) => sm.est_s(fleet.len()),
-                        _ => f64::INFINITY, // rung disabled; never attempted
-                    },
-                    est(spaden.try_run(&self.gpu, &x0))?,
-                    est(scalar.try_run(&self.gpu, &x0))?,
-                    est(csr_eng.try_run(&self.gpu, &x0))?,
-                ];
-                (planned_ladder(&MatrixStats::of(csr), &self.gpu.config), est_cost_s)
-            }
-        };
-        let batch = self.batch_plan(csr, est_cost_s[Rung::SpadenChecked as usize])?;
+        // (never recomputed).
+        let sharded = self
+            .fleet
+            .as_ref()
+            .map(|fleet| {
+                let nshards = fleet.len() * SHARDS_PER_DEVICE;
+                ShardedMatrix::try_new(&self.gpu.config, csr, nshards, ShardPolicy::default())
+            })
+            .transpose()
+            .map_err(ServeError::Invalid)?;
+        // Cost estimates depend on structure alone, so they hold for
+        // every future x. The sharded estimate assumes a full healthy
+        // fleet; the scheduler re-prices after crashes. Without a fleet
+        // the rung is disabled and never attempted.
+        let mut est_cost_s = [f64::INFINITY; RUNGS];
+        if let (Some(sm), Some(fleet)) = (&sharded, &self.fleet) {
+            est_cost_s[Rung::Sharded as usize] = sm.est_s(fleet.len());
+        }
+        for r in SINGLE_RUNGS {
+            est_cost_s[r as usize] = predict_time(r.engine_kind(), stats, &self.gpu.config).seconds;
+        }
+        let ladder = planned_ladder(&est_cost_s);
+        let batch = self.batch_plan(csr, stats)?;
         let snapshot = PreparedMatrix {
             nrows: csr.nrows,
             ncols: csr.ncols,
@@ -161,9 +139,9 @@ impl SpmvServer {
     /// from the verified base bitBSR and its checksums, so the served
     /// f16 bits are the evolve layer's bits, not a re-rounding.
     pub(super) fn build_evolved(
-        &mut self,
+        &self,
         ev: &EvolvingMatrix,
-        reuse: Option<([Rung; 3], [f64; RUNGS])>,
+        stats: &MatrixStats,
     ) -> Result<(PreparedMatrix, Option<ShardedMatrix>), ServeError> {
         let spaden = SpadenEngine::try_from_parts(
             &self.gpu,
@@ -174,7 +152,7 @@ impl SpmvServer {
         .map_err(ServeError::Invalid)?;
         let side = ev.delta().side().to_vec();
         let logical = (!side.is_empty()).then(|| ev.logical_sums().clone());
-        self.build_snapshot(ev.csr(), spaden, side, logical, ev.epoch(), reuse)
+        self.build_snapshot(ev.csr(), stats, spaden, side, logical, ev.epoch())
     }
 
     /// Validates and registers a matrix: structural ingress check, all
@@ -188,12 +166,20 @@ impl SpmvServer {
         // the f32 source also runs the f16 conversion-hazard scan.
         let spaden =
             SpadenEngine::try_prepare(&self.gpu, csr).map_err(ServeError::Invalid)?;
-        let (current, sharded) = self.build_snapshot(csr, spaden, Vec::new(), None, 0, None)?;
+        let fp = fingerprint(csr);
+        let (current, sharded) = self.build_snapshot(
+            csr,
+            &MatrixStats::from_fingerprint(&fp),
+            spaden,
+            Vec::new(),
+            None,
+            0,
+        )?;
         self.matrices.push(MatrixEntry {
             current: Arc::new(current),
             sharded,
             evolving: None,
-            fp: fingerprint(csr),
+            fp,
             store: None,
         });
         Ok(MatrixHandle(self.matrices.len() - 1))
@@ -243,9 +229,6 @@ impl SpmvServer {
         let Some(mut ev) = self.matrices[idx].evolving.take() else {
             return Err(ServeError::NotEvolving(idx));
         };
-        let old_fp = self.matrices[idx].fp;
-        let (old_ladder, old_est) =
-            (self.matrices[idx].current.ladder, self.matrices[idx].current.est_cost_s);
         let report = match ev.apply(batch, fault) {
             Ok(r) => r,
             Err(e) => {
@@ -271,34 +254,9 @@ impl SpmvServer {
             store.maybe_snapshot(&ev);
         }
 
-        // Fleet partition: a value-only update keeps the structure
-        // digest, so the cached plan's block-row ranges and per-shard
-        // estimates stay valid — only the checksums move, and those are
-        // exact slices of the incrementally repaired logical sums
-        // (bit-identical to a from-scratch build, see the evolve-layer
-        // audit). Re-slice, insert under the new fingerprint, and let
-        // the snapshot build's cached path hit. Structural updates
-        // re-partition.
+        // Build the new epoch's snapshot off to the side.
         let new_fp = fingerprint(ev.csr());
-        let value_only = report.class == DeltaClass::ValueOnly;
-        let mut partition_resliced = false;
-        if let (Some(fleet), true) = (&self.fleet, value_only) {
-            let nshards = fleet.len() * SHARDS_PER_DEVICE;
-            let old_key = PartitionKey::new(&old_fp, &self.gpu.config, nshards);
-            if let Some(plan) = self.partition_cache.get(&old_key) {
-                let resliced = Arc::new(plan.resliced(ev.logical_sums()));
-                let new_key = PartitionKey::new(&new_fp, &self.gpu.config, nshards);
-                self.partition_cache.insert(new_key, resliced);
-                partition_resliced = true;
-            }
-        }
-        let repartitioned = self.fleet.is_some() && !value_only;
-
-        // Build the new epoch's snapshot off to the side. Ladder order
-        // and per-rung cost estimates depend only on the structure
-        // (counter totals are value-independent), so a value-only update
-        // reuses both; a structural one re-prices the new structure.
-        let built = self.build_evolved(&ev, value_only.then_some((old_ladder, old_est)));
+        let built = self.build_evolved(&ev, &MatrixStats::from_fingerprint(&new_fp));
         // The evolve layer has committed either way. A failed build
         // leaves the previous snapshot serving and surfaces as a typed
         // error.
@@ -312,6 +270,6 @@ impl SpmvServer {
         entry.sharded = sharded;
         entry.fp = new_fp;
         self.stats.updates += 1;
-        Ok(UpdateOutcome { report, partition_resliced, repartitioned })
+        Ok(UpdateOutcome { report })
     }
 }

@@ -251,13 +251,6 @@ pub struct ServedOk {
 pub struct UpdateOutcome {
     /// The evolve layer's account of the commit.
     pub report: UpdateReport,
-    /// A value-only update carried the fleet partition plan across the
-    /// epoch by re-slicing its checksums from the repaired logical sums
-    /// (block-row ranges and per-shard estimates reused verbatim).
-    pub partition_resliced: bool,
-    /// A structural update re-partitioned the matrix for the fleet from
-    /// scratch (the nnz balance may have shifted).
-    pub repartitioned: bool,
 }
 
 /// How a [`SpmvServer::recover_evolving`] call went: the storage

@@ -7,7 +7,10 @@
 //! A prepared matrix is cut into nnz-balanced block-row shards
 //! ([`ShardedMatrix`]) — the bitBSR conversion and the ABFT checksum
 //! build happen **once**, and every shard is a slice of both (checksums
-//! are never recomputed from sliced data). The shards are scheduled
+//! are never recomputed from sliced data). Each shard's expected
+//! duration, which prices timeouts, speculation and deadlines, comes
+//! from the `spaden_plan` cost model over the shard's block profile;
+//! partitioning launches no kernel. The shards are scheduled
 //! across a [`DeviceFleet`] of independent simulated devices by a
 //! deterministic event-driven loop that retries transient failures with
 //! exponential backoff, detects hangs with per-shard timeouts,
@@ -22,11 +25,9 @@
 //! boundaries land on even block-row indices so each shard preserves
 //! the paired kernel's warp-to-block-row mapping.
 
-pub mod cache;
 pub mod fleet;
 pub mod sharded;
 
-pub use cache::{PartitionCache, PartitionCacheStats, PartitionKey, PartitionPlan};
 pub use fleet::DeviceFleet;
 pub use sharded::{
     Shard, ShardError, ShardPolicy, ShardRunReport, ShardedMatrix, ShardedRun,

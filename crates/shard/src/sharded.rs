@@ -12,7 +12,8 @@
 //! zero fault rates the recombined `y` is bit-identical to a
 //! single-device run. Shard checksums are *sliced* from the full
 //! matrix's checksums (never recomputed), so a corrupted slice cannot
-//! re-derive checksums that bless its own corruption.
+//! re-derive checksums that bless its own corruption. Each shard's
+//! expected duration is [`spaden_plan::predict_time`] over its rows.
 //!
 //! # Scheduling
 //!
@@ -38,16 +39,14 @@
 //! before its rows are accepted, so the scheduler never recombines an
 //! unverified partial result.
 
-use crate::cache::{PartitionCache, PartitionKey, PartitionPlan};
 use crate::fleet::DeviceFleet;
 use spaden::gpusim::{DeviceEvent, Gpu, GpuConfig, KernelCounters};
-use spaden::sparse::fingerprint::fingerprint;
 use spaden::sparse::gen::BLOCK_DIM;
 use spaden::sparse::partition::partition_balanced;
 use spaden::sparse::Csr;
 use spaden::{EngineError, SpadenConfig, SpadenEngine, SpmvRun};
+use spaden_plan::{predict_time, EngineKind, MatrixStats};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Retry, timeout, speculation, and data-movement knobs of the shard
 /// scheduler.
@@ -168,8 +167,8 @@ pub struct Shard {
     pub nnz: usize,
     /// Device bytes of the shard's format (transfer pricing).
     pub bytes: u64,
-    /// Expected fault-free execution time (seconds), measured once at
-    /// partition time on a clean staging device.
+    /// Expected fault-free execution time (seconds), predicted by the
+    /// cost model from the shard's block profile at partition time.
     pub est_s: f64,
     engine: SpadenEngine,
 }
@@ -253,122 +252,58 @@ pub struct ShardedMatrix {
 impl ShardedMatrix {
     /// Prepares `csr` as (at most) `nshards` block-row shards. The
     /// conversion and checksum build happen once on a clean staging
-    /// device; every shard is a slice of those, and each shard's
-    /// expected duration is measured with one fault-free staging run.
+    /// device; every shard is a slice of those. Each shard's expected
+    /// duration is the cost model's prediction for its rows
+    /// ([`predict_time`]), so partitioning launches nothing. A zero
+    /// `nshards` is an [`EngineError::Validation`].
     pub fn try_new(
         config: &GpuConfig,
         csr: &Csr,
         nshards: usize,
         policy: ShardPolicy,
     ) -> Result<Self, EngineError> {
-        Self::build(config, csr, nshards, policy, None)
-    }
-
-    /// [`ShardedMatrix::try_new`] backed by a [`PartitionCache`]: a
-    /// repeat registration of an already-partitioned matrix (same
-    /// fingerprint, GPU, and shard count) reuses the cached block-row
-    /// ranges, sliced checksums, and per-shard duration estimates —
-    /// skipping the balance pass and every staging measurement run.
-    pub fn try_new_cached(
-        config: &GpuConfig,
-        csr: &Csr,
-        nshards: usize,
-        policy: ShardPolicy,
-        cache: &mut PartitionCache,
-    ) -> Result<Self, EngineError> {
-        Self::build(config, csr, nshards, policy, Some(cache))
-    }
-
-    fn build(
-        config: &GpuConfig,
-        csr: &Csr,
-        nshards: usize,
-        policy: ShardPolicy,
-        cache: Option<&mut PartitionCache>,
-    ) -> Result<Self, EngineError> {
-        assert!(nshards > 0, "nshards must be positive");
+        if nshards == 0 {
+            return Err(EngineError::Validation("nshards must be positive".into()));
+        }
         let mut staging_cfg = config.clone();
         staging_cfg.faults = spaden::gpusim::FaultConfig::disabled();
         let staging = Gpu::new(staging_cfg);
         let full = SpadenEngine::try_prepare(&staging, csr)?;
         let format = full.format();
 
-        let mut cache = cache;
-        let key = cache
-            .as_ref()
-            .map(|_| PartitionKey::new(&fingerprint(csr), config, nshards));
-        let cached: Option<Arc<PartitionPlan>> = match (&mut cache, &key) {
-            (Some(c), Some(k)) => c.get(k),
-            _ => None,
-        };
-
-        // On a cache miss the plan is computed here (balance pass, one
-        // staging measurement run per shard) and the engines built along
-        // the way are kept; a hit skips all of that and only rebuilds the
-        // engines from the cached ranges + checksums.
-        let (plan, mut prebuilt): (Arc<PartitionPlan>, Vec<Option<SpadenEngine>>) = match cached {
-            Some(plan) => {
-                let n = plan.ranges.len();
-                (plan, (0..n).map(|_| None).collect())
-            }
-            None => {
-                // Per-block-row nonzero counts drive the balance;
-                // boundaries on even block-rows keep the paired kernel's
-                // warp mapping intact.
-                let weights: Vec<u32> = (0..format.block_rows)
-                    .map(|br| {
-                        let b0 = format.block_row_ptr[br] as usize;
-                        let b1 = format.block_row_ptr[br + 1] as usize;
-                        format.block_offsets[b1] - format.block_offsets[b0]
-                    })
-                    .collect();
-                let ranges = partition_balanced(&weights, nshards, 2);
-                let x0 = vec![0.0f32; csr.ncols];
-                let mut sums = Vec::with_capacity(ranges.len());
-                let mut est_s = Vec::with_capacity(ranges.len());
-                let mut engines = Vec::with_capacity(ranges.len());
-                for r in &ranges {
-                    let fmt = format.slice_block_rows(r.start, r.end);
-                    let s = full.abft().slice_block_rows(r.start, r.end);
-                    let engine = SpadenEngine::try_from_parts(
-                        &staging,
-                        fmt,
-                        s.clone(),
-                        SpadenConfig::default(),
-                    )?;
-                    est_s.push(engine.try_run_checked(&staging, &x0)?.time.seconds);
-                    sums.push(s);
-                    engines.push(Some(engine));
-                }
-                let plan = Arc::new(PartitionPlan { ranges, sums, est_s });
-                if let (Some(c), Some(k)) = (&mut cache, key) {
-                    c.insert(k, plan.clone());
-                }
-                (plan, engines)
-            }
-        };
-
-        let mut shards = Vec::with_capacity(plan.ranges.len());
-        for (i, r) in plan.ranges.iter().enumerate() {
-            let engine = match prebuilt[i].take() {
-                Some(e) => e,
-                None => SpadenEngine::try_from_parts(
-                    &staging,
-                    format.slice_block_rows(r.start, r.end),
-                    plan.sums[i].clone(),
-                    SpadenConfig::default(),
-                )?,
-            };
+        // Per-block-row nonzero counts drive the balance; boundaries on
+        // even block-rows keep the paired kernel's warp mapping intact.
+        let weights: Vec<u32> = (0..format.block_rows)
+            .map(|br| {
+                let b0 = format.block_row_ptr[br] as usize;
+                let b1 = format.block_row_ptr[br + 1] as usize;
+                format.block_offsets[b1] - format.block_offsets[b0]
+            })
+            .collect();
+        let ranges = partition_balanced(&weights, nshards, 2);
+        let mut shards = Vec::with_capacity(ranges.len());
+        for r in ranges {
+            let engine = SpadenEngine::try_from_parts(
+                &staging,
+                format.slice_block_rows(r.start, r.end),
+                full.abft().slice_block_rows(r.start, r.end),
+                SpadenConfig::default(),
+            )?;
             let fmt = engine.format();
-            let nnz = fmt.nnz();
-            let bytes = fmt.bytes() as u64;
             let rows = r.start * BLOCK_DIM..r.start * BLOCK_DIM + fmt.nrows;
+            let stats = MatrixStats {
+                nrows: fmt.nrows,
+                ncols: fmt.ncols,
+                nnz: fmt.nnz(),
+                profile: fmt.block_profile(),
+                max_degree: rows.clone().map(|row| csr.row_nnz(row)).max().unwrap_or(0),
+            };
             shards.push(Shard {
-                block_rows: r.clone(),
+                block_rows: r,
                 rows,
-                nnz,
-                bytes,
-                est_s: plan.est_s[i],
+                nnz: fmt.nnz(),
+                bytes: fmt.bytes() as u64,
+                est_s: predict_time(EngineKind::Spaden, &stats, config).seconds,
                 engine,
             });
         }

@@ -9,9 +9,8 @@
 //!
 //! This module is format-agnostic: [`apply_to_csr`] is the from-scratch
 //! oracle every incremental representation (the delta-bitBSR in the
-//! `spaden` core crate) is verified against, and [`classify`] is what the
-//! plan/serve layers use to decide whether a cached plan or partition
-//! survives an update (structure digest unchanged) or must be rebuilt.
+//! `spaden` core crate) is verified against, and [`classify`] tells a
+//! value-only update (structure unchanged) from a structural one.
 //!
 //! Batches are canonicalised (sorted by `(row, col)`, duplicates
 //! rejected with a typed [`UpdateError`]), which makes *commuting*
