@@ -14,9 +14,11 @@ use spaden_sparse::bsr::Bsr;
 use spaden_sparse::csr::Csr;
 use spaden_sparse::gen::BLOCK_DIM;
 
-/// cuSPARSE BSR engine: converted BSR plus device buffers.
+/// cuSPARSE BSR engine: the converted BSR's device buffers and dims.
 pub struct CusparseBsrEngine {
-    format: Bsr,
+    nrows: usize,
+    ncols: usize,
+    block_rows: usize,
     prep: PrepStats,
     d_block_row_ptr: DeviceBuffer<u32>,
     d_block_cols: DeviceBuffer<u32>,
@@ -39,18 +41,15 @@ impl CusparseBsrEngine {
         let (format, seconds) = timed(|| Bsr::from_csr(csr));
         let prep = PrepStats { seconds, device_bytes: format.bytes() as u64 };
         CusparseBsrEngine {
-            d_block_row_ptr: gpu.alloc(format.block_row_ptr.clone()),
-            d_block_cols: gpu.alloc(format.block_cols.clone()),
-            d_values: gpu.alloc(format.values.clone()),
+            nrows: format.nrows,
+            ncols: format.ncols,
+            block_rows: format.block_rows,
+            d_block_row_ptr: gpu.alloc(format.block_row_ptr),
+            d_block_cols: gpu.alloc(format.block_cols),
+            d_values: gpu.alloc(format.values),
             nnz: csr.nnz(),
-            format,
             prep,
         }
-    }
-
-    /// The converted format.
-    pub fn format(&self) -> &Bsr {
-        &self.format
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx, d_x: &DeviceBuffer<f32>, y: &DeviceOutput) {
@@ -75,7 +74,7 @@ impl CusparseBsrEngine {
             let mut xidx = [None; WARP_SIZE];
             for l in 0..WARP_SIZE {
                 let col = bc * BLOCK_DIM + 2 * (l % 4);
-                if col + 1 < self.format.ncols {
+                if col + 1 < self.ncols {
                     xidx[l] = Some(col as u32);
                 }
             }
@@ -89,8 +88,8 @@ impl CusparseBsrEngine {
                         let c1 = bc * BLOCK_DIM + 2 * (l % 4);
                         let c2 = c1 + 1;
                         (
-                            if c1 < self.format.ncols { d_x.get(c1) } else { 0.0 },
-                            if c2 < self.format.ncols { d_x.get(c2) } else { 0.0 },
+                            if c1 < self.ncols { d_x.get(c1) } else { 0.0 },
+                            if c2 < self.ncols { d_x.get(c2) } else { 0.0 },
                         )
                     }
                 };
@@ -107,7 +106,7 @@ impl CusparseBsrEngine {
         let mut writes = [None; WARP_SIZE];
         for dr in 0..BLOCK_DIM {
             let r = br * BLOCK_DIM + dr;
-            if r < self.format.nrows {
+            if r < self.nrows {
                 writes[dr] = Some((r as u32, row_acc[dr]));
             }
         }
@@ -129,18 +128,18 @@ impl SpmvEngine for CusparseBsrEngine {
     }
 
     fn nrows(&self) -> usize {
-        self.format.nrows
+        self.nrows
     }
 
     fn ncols(&self) -> usize {
-        self.format.ncols
+        self.ncols
     }
 
     fn run(&self, gpu: &Gpu, x: &[f32]) -> SpmvRun {
-        assert_eq!(x.len(), self.format.ncols, "x length mismatch");
+        assert_eq!(x.len(), self.ncols, "x length mismatch");
         let d_x = gpu.alloc(x.to_vec());
-        let y = gpu.alloc_output(self.format.nrows);
-        let counters = gpu.launch(self.format.block_rows, |ctx| self.run_warp(ctx, &d_x, &y));
+        let y = gpu.alloc_output(self.nrows);
+        let counters = gpu.launch(self.block_rows, |ctx| self.run_warp(ctx, &d_x, &y));
         SpmvRun::new(y.to_vec(), counters, gpu)
     }
 }

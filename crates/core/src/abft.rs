@@ -26,6 +26,23 @@
 //! column are zero. Likewise two faults cancelling in `Σ y` from different
 //! rows `r₁ ≠ r₂` leave a weighted residue proportional to `r₁ - r₂`.
 //!
+//! ## Building the sums from the set bits only
+//!
+//! The sums are defined over all 64 positions of each block, unset ones
+//! reading `+0.0`, each column summed over its rows in ascending order.
+//! The builder visits only the set bits (in ascending bit order, so each
+//! column still meets its rows in ascending order) and gets the same f64
+//! bits:
+//!
+//! * every skipped term is the `+0.0` of an unset bit;
+//! * the accumulators start at `+0.0` and can never become `−0.0` (an
+//!   exact zero sum of two values is `+0.0` unless both are `−0.0`), so
+//!   adding `+0.0` leaves them unchanged; it also leaves NaN and ±inf
+//!   unchanged;
+//! * explicit ±0 values sit on set bits, so they are still summed.
+//!
+//! A column whose value mass `a` is `0.0` emits no entry either way.
+//!
 //! ## What this scheme cannot catch
 //!
 //! * **Compensating faults**: corruptions within one block-row whose
@@ -45,51 +62,151 @@ use crate::delta::DeltaBitBsr;
 use spaden_gpusim::half::F16;
 use spaden_sparse::dense::Dense;
 use spaden_sparse::gen::BLOCK_DIM;
+use spaden_sparse::{blockrow, par};
 
-/// Recomputed checksum entries of a single block-row, produced by the one
-/// shared accumulation routine so the incremental repair path is
-/// *bit-exactly* the computation [`AbftChecksums::build`] performs.
+/// Checksum entry arrays: a whole matrix's ([`AbftChecksums::build`]) or
+/// one block-row's (the other builders).
 #[derive(Default)]
-struct RowEntries {
+struct Entries {
     cols: Vec<u32>,
     sums: Vec<f64>,
     wsums: Vec<f64>,
     abs: Vec<f64>,
-    nnz: u32,
 }
 
-/// Accumulates one block-row's checksum entries from its blocks in
-/// ascending block-column order. This mirrors the inner loop of
-/// [`AbftChecksums::build`] exactly — same block order, same `dc`-outer /
-/// `dr`-inner summation, same `a != 0.0` skip — which is what makes
-/// incremental recomputation of a touched block-row equal to a full
-/// rebuild bit for bit: blocks within a block-row cover disjoint column
-/// ranges, so every matrix column's f64 sum is formed in the same order
-/// either way.
-fn row_entries(blocks: &[(u32, u64, [f32; BLOCK_DIM * BLOCK_DIM])]) -> RowEntries {
-    let mut e = RowEntries::default();
-    for (bc, bitmap, dense) in blocks {
-        e.nnz += bitmap.count_ones();
-        for dc in 0..BLOCK_DIM {
-            let col = *bc as usize * BLOCK_DIM + dc;
-            let mut s = 0.0f64;
-            let mut w = 0.0f64;
-            let mut a = 0.0f64;
-            for dr in 0..BLOCK_DIM {
-                let v = dense[dr * BLOCK_DIM + dc] as f64;
-                s += v;
-                w += (dr + 1) as f64 * v;
-                a += v.abs();
-            }
-            if a != 0.0 {
-                e.cols.push(col as u32);
-                e.sums.push(s);
-                e.wsums.push(w);
-                e.abs.push(a);
+/// A window of [`Entries`] that [`row_entries`] writes front to back.
+struct EntriesMut<'a> {
+    cols: &'a mut [u32],
+    sums: &'a mut [f64],
+    wsums: &'a mut [f64],
+    abs: &'a mut [f64],
+}
+
+impl Entries {
+    fn zeroed(n: usize) -> Self {
+        Entries { cols: vec![0; n], sums: vec![0.0; n], wsums: vec![0.0; n], abs: vec![0.0; n] }
+    }
+
+    fn window(&mut self) -> EntriesMut<'_> {
+        EntriesMut {
+            cols: &mut self.cols,
+            sums: &mut self.sums,
+            wsums: &mut self.wsums,
+            abs: &mut self.abs,
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.cols.truncate(n);
+        self.sums.truncate(n);
+        self.wsums.truncate(n);
+        self.abs.truncate(n);
+    }
+
+    fn extend_from(&mut self, other: &Entries, range: std::ops::Range<usize>) {
+        self.cols.extend_from_slice(&other.cols[range.clone()]);
+        self.sums.extend_from_slice(&other.sums[range.clone()]);
+        self.wsums.extend_from_slice(&other.wsums[range.clone()]);
+        self.abs.extend_from_slice(&other.abs[range]);
+    }
+
+    /// One block-row's entries, and its nonzero count, in arrays of
+    /// exactly its length.
+    fn of_row(block_cols: &[u32], bitmaps: &[u64], values: &[F16]) -> (Entries, u32) {
+        let mut e = Entries::zeroed(entry_bound(bitmaps));
+        let (n, nnz) = row_entries(block_cols, bitmaps, values, e.window());
+        e.truncate(n);
+        (e, nnz)
+    }
+}
+
+impl<'a> EntriesMut<'a> {
+    /// Splits off the first `n` entries.
+    fn split_at(self, n: usize) -> (EntriesMut<'a>, EntriesMut<'a>) {
+        let (c0, c1) = self.cols.split_at_mut(n);
+        let (s0, s1) = self.sums.split_at_mut(n);
+        let (w0, w1) = self.wsums.split_at_mut(n);
+        let (a0, a1) = self.abs.split_at_mut(n);
+        (
+            EntriesMut { cols: c0, sums: s0, wsums: w0, abs: a0 },
+            EntriesMut { cols: c1, sums: s1, wsums: w1, abs: a1 },
+        )
+    }
+
+    /// The entries from `at` on.
+    fn rest(&mut self, at: usize) -> EntriesMut<'_> {
+        EntriesMut {
+            cols: &mut self.cols[at..],
+            sums: &mut self.sums[at..],
+            wsums: &mut self.wsums[at..],
+            abs: &mut self.abs[at..],
+        }
+    }
+}
+
+/// The columns of an 8×8 block that hold at least one stored value: bit
+/// `dc` is set iff column `dc` is occupied in some row.
+fn column_occupancy(bitmap: u64) -> u8 {
+    let b = bitmap | bitmap >> 32;
+    let b = b | b >> 16;
+    (b | b >> 8) as u8
+}
+
+/// Most entries a block-row with these bitmaps can have: its occupied
+/// columns. Columns whose stored values are all ±0 emit no entry.
+fn entry_bound(bitmaps: &[u64]) -> usize {
+    bitmaps.iter().map(|&b| column_occupancy(b).count_ones() as usize).sum()
+}
+
+/// The one checksum accumulation routine. Writes the entries of one
+/// block-row, given by its blocks' columns and bitmaps in ascending
+/// block-column order and their values packed in bit order, to the front
+/// of `out` (which must hold [`entry_bound`] of them). Returns the entries
+/// written and the block-row's nonzero count.
+///
+/// Per block it walks the set bits in ascending order, accumulating each
+/// column `dc`'s `s`, `w` and `a` over its rows in ascending order, then
+/// emits the occupied columns whose `a != 0.0` in ascending order. Every
+/// builder and repair path goes through here, so an incremental repair of
+/// a block-row is bit for bit the full build's; blocks within a
+/// block-row cover disjoint column ranges, so every matrix column's f64
+/// sum is formed in the same order either way.
+fn row_entries(
+    block_cols: &[u32],
+    bitmaps: &[u64],
+    values: &[F16],
+    out: EntriesMut<'_>,
+) -> (usize, u32) {
+    let (mut n, mut v) = (0usize, 0usize);
+    for (&bc, &bitmap) in block_cols.iter().zip(bitmaps) {
+        let mut s = [0.0f64; BLOCK_DIM];
+        let mut w = [0.0f64; BLOCK_DIM];
+        let mut a = [0.0f64; BLOCK_DIM];
+        let mut bits = bitmap;
+        while bits != 0 {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (dr, dc) = (bit / BLOCK_DIM, bit % BLOCK_DIM);
+            let x = values[v].to_f32() as f64;
+            v += 1;
+            s[dc] += x;
+            w[dc] += (dr + 1) as f64 * x;
+            a[dc] += x.abs();
+        }
+        let mut occupied = column_occupancy(bitmap);
+        while occupied != 0 {
+            let dc = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            if a[dc] != 0.0 {
+                out.cols[n] = bc * BLOCK_DIM as u32 + dc as u32;
+                out.sums[n] = s[dc];
+                out.wsums[n] = w[dc];
+                out.abs[n] = a[dc];
+                n += 1;
             }
         }
     }
-    e
+    (n, v as u32)
 }
 
 /// Borrowed raw arrays of an [`AbftChecksums`] — see
@@ -138,55 +255,77 @@ pub struct AbftChecksums {
 }
 
 impl AbftChecksums {
-    /// Precomputes the checksums for `format` (done once at `prepare`).
+    /// Precomputes the checksums for `format` (done once at `prepare`), on
+    /// nnz-balanced pool runs of block-rows. Each run writes its entries in
+    /// place into a window of arrays sized by its blocks' occupied
+    /// columns; the runs are then closed up, which moves entries only when
+    /// some column held nothing but ±0.
     pub fn build(format: &BitBsr) -> Self {
-        let mut ptr = Vec::with_capacity(format.block_rows + 1);
-        ptr.push(0u32);
-        let mut cols = Vec::new();
-        let mut sums = Vec::new();
-        let mut wsums = Vec::new();
-        let mut abs = Vec::new();
-        let mut nnz_br = Vec::with_capacity(format.block_rows);
-        for br in 0..format.block_rows {
-            let lo = format.block_row_ptr[br] as usize;
-            let hi = format.block_row_ptr[br + 1] as usize;
-            let mut n = 0u32;
-            for k in lo..hi {
-                let bc = format.block_cols[k] as usize;
-                let dense = format.decode_block(k);
-                n += format.block_nnz(k) as u32;
-                for dc in 0..BLOCK_DIM {
-                    let col = bc * BLOCK_DIM + dc;
-                    let mut s = 0.0f64;
-                    let mut w = 0.0f64;
-                    let mut a = 0.0f64;
-                    for dr in 0..BLOCK_DIM {
-                        let v = dense[dr * BLOCK_DIM + dc] as f64;
-                        s += v;
-                        w += (dr + 1) as f64 * v;
-                        a += v.abs();
-                    }
-                    if a != 0.0 {
-                        cols.push(col as u32);
-                        sums.push(s);
-                        wsums.push(w);
-                        abs.push(a);
-                    }
+        let block_rows = format.block_rows;
+        let block = |br: usize| format.block_row_ptr[br] as usize;
+        let runs = blockrow::runs(block_rows, |br| format.block_offsets[block(br)] as usize);
+        let bounds: Vec<usize> = (runs.iter())
+            .map(|r| entry_bound(&format.bitmaps[block(r.start)..block(r.end)]))
+            .collect();
+        let mut entries = Entries::zeroed(bounds.iter().sum());
+        let mut ptr = vec![0u32; block_rows + 1];
+        let mut nnz_br = vec![0u32; block_rows];
+        let mut written = vec![0usize; runs.len()];
+        {
+            let mut windows = Vec::with_capacity(runs.len());
+            let mut rest = entries.window();
+            for &b in &bounds {
+                let (head, tail) = rest.split_at(b);
+                windows.push(head);
+                rest = tail;
+            }
+            let lens = || runs.iter().map(|r| r.len());
+            let items: Vec<_> = (runs.iter().cloned().zip(windows))
+                .zip(blockrow::split_mut(&mut ptr[1..], lens()))
+                .zip(blockrow::split_mut(&mut nnz_br, lens()))
+                .zip(&mut written)
+                .collect();
+            par::for_each_task(items, |_, ((((run, mut out), ends), nnz), written)| {
+                let mut at = 0;
+                for (i, br) in run.enumerate() {
+                    let (lo, hi) = (block(br), block(br + 1));
+                    let values = &format.values
+                        [format.block_offsets[lo] as usize..format.block_offsets[hi] as usize];
+                    let (n, count) = row_entries(
+                        &format.block_cols[lo..hi],
+                        &format.bitmaps[lo..hi],
+                        values,
+                        out.rest(at),
+                    );
+                    at += n;
+                    ends[i] = at as u32;
+                    nnz[i] = count;
+                }
+                *written = at;
+            });
+        }
+        // Close up the runs: run `i` wrote `written[i]` entries at the
+        // start of its window, and its `ptr` entries are window-relative.
+        let (mut from, mut to) = (0usize, 0usize);
+        for ((run, &bound), &n) in runs.iter().zip(&bounds).zip(&written) {
+            if from != to {
+                entries.cols.copy_within(from..from + n, to);
+                entries.sums.copy_within(from..from + n, to);
+                entries.wsums.copy_within(from..from + n, to);
+                entries.abs.copy_within(from..from + n, to);
+            }
+            if to != 0 {
+                for p in &mut ptr[run.start + 1..=run.end] {
+                    *p += to as u32;
                 }
             }
-            ptr.push(cols.len() as u32);
-            nnz_br.push(n);
+            from += bound;
+            to += n;
         }
-        AbftChecksums {
-            nrows: format.nrows,
-            ncols: format.ncols,
-            ptr,
-            cols,
-            sums,
-            wsums,
-            abs,
-            nnz_br,
-        }
+        entries.truncate(to);
+        let Entries { cols, sums, wsums, abs } = entries;
+        let (nrows, ncols) = (format.nrows, format.ncols);
+        AbftChecksums { nrows, ncols, ptr, cols, sums, wsums, abs, nnz_br }
     }
 
     /// Builds the checksums of the *logical* matrix of a [`DeltaBitBsr`]
@@ -198,66 +337,58 @@ impl AbftChecksums {
         let base = m.base();
         let mut ptr = Vec::with_capacity(base.block_rows + 1);
         ptr.push(0u32);
-        let mut cols = Vec::new();
-        let mut sums = Vec::new();
-        let mut wsums = Vec::new();
-        let mut abs = Vec::new();
+        let mut all = Entries::default();
         let mut nnz_br = Vec::with_capacity(base.block_rows);
         for br in 0..base.block_rows {
-            let e = row_entries(&m.logical_block_row(br));
-            cols.extend_from_slice(&e.cols);
-            sums.extend_from_slice(&e.sums);
-            wsums.extend_from_slice(&e.wsums);
-            abs.extend_from_slice(&e.abs);
-            ptr.push(cols.len() as u32);
-            nnz_br.push(e.nnz);
+            let row = m.logical_block_row(br);
+            let (e, nnz) = Entries::of_row(&row.cols, &row.bitmaps, &row.values);
+            all.extend_from(&e, 0..e.cols.len());
+            ptr.push(all.cols.len() as u32);
+            nnz_br.push(nnz);
         }
+        let Entries { cols, sums, wsums, abs } = all;
         AbftChecksums { nrows: base.nrows, ncols: base.ncols, ptr, cols, sums, wsums, abs, nnz_br }
     }
 
     /// Splices freshly recomputed entries for `touched` (sorted, unique
     /// block-row indices) into the CSR-like entry arrays, leaving every
     /// untouched block-row's entries byte-identical.
-    fn splice_block_rows(&mut self, touched: &[usize], rows: Vec<RowEntries>) {
+    fn splice_block_rows(&mut self, touched: &[usize], rows: Vec<(Entries, u32)>) {
         debug_assert_eq!(touched.len(), rows.len());
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched must be sorted+unique");
         assert!(
             touched.iter().all(|&br| br < self.block_rows()),
             "touched block-row out of range"
         );
-        let grow: usize = rows.iter().map(|e| e.cols.len()).sum();
+        let grow: usize = rows.iter().map(|(e, _)| e.cols.len()).sum();
+        let old = Entries {
+            cols: std::mem::take(&mut self.cols),
+            sums: std::mem::take(&mut self.sums),
+            wsums: std::mem::take(&mut self.wsums),
+            abs: std::mem::take(&mut self.abs),
+        };
+        let cap = old.cols.len() + grow;
+        let mut all = Entries {
+            cols: Vec::with_capacity(cap),
+            sums: Vec::with_capacity(cap),
+            wsums: Vec::with_capacity(cap),
+            abs: Vec::with_capacity(cap),
+        };
         let mut ptr = Vec::with_capacity(self.ptr.len());
         ptr.push(0u32);
-        let mut cols = Vec::with_capacity(self.cols.len() + grow);
-        let mut sums = Vec::with_capacity(cols.capacity());
-        let mut wsums = Vec::with_capacity(cols.capacity());
-        let mut abs = Vec::with_capacity(cols.capacity());
         for br in 0..self.block_rows() {
             match touched.binary_search(&br) {
                 Ok(i) => {
-                    let e = &rows[i];
-                    cols.extend_from_slice(&e.cols);
-                    sums.extend_from_slice(&e.sums);
-                    wsums.extend_from_slice(&e.wsums);
-                    abs.extend_from_slice(&e.abs);
-                    self.nnz_br[br] = e.nnz;
+                    let (e, nnz) = &rows[i];
+                    all.extend_from(e, 0..e.cols.len());
+                    self.nnz_br[br] = *nnz;
                 }
-                Err(_) => {
-                    let lo = self.ptr[br] as usize;
-                    let hi = self.ptr[br + 1] as usize;
-                    cols.extend_from_slice(&self.cols[lo..hi]);
-                    sums.extend_from_slice(&self.sums[lo..hi]);
-                    wsums.extend_from_slice(&self.wsums[lo..hi]);
-                    abs.extend_from_slice(&self.abs[lo..hi]);
-                }
+                Err(_) => all.extend_from(&old, self.ptr[br] as usize..self.ptr[br + 1] as usize),
             }
-            ptr.push(cols.len() as u32);
+            ptr.push(all.cols.len() as u32);
         }
         self.ptr = ptr;
-        self.cols = cols;
-        self.sums = sums;
-        self.wsums = wsums;
-        self.abs = abs;
+        (self.cols, self.sums, self.wsums, self.abs) = (all.cols, all.sums, all.wsums, all.abs);
     }
 
     /// Incremental repair against the *logical* matrix: recomputes only
@@ -265,7 +396,13 @@ impl AbftChecksums {
     /// [`crate::EvolvingMatrix`] proves this exactly equals
     /// [`AbftChecksums::build_logical`] from scratch.
     pub fn repair_block_rows(&mut self, m: &DeltaBitBsr, touched: &[usize]) {
-        let rows = touched.iter().map(|&br| row_entries(&m.logical_block_row(br))).collect();
+        let rows = touched
+            .iter()
+            .map(|&br| {
+                let row = m.logical_block_row(br);
+                Entries::of_row(&row.cols, &row.bitmaps, &row.values)
+            })
+            .collect();
         self.splice_block_rows(touched, rows);
     }
 
@@ -278,10 +415,9 @@ impl AbftChecksums {
             .map(|&br| {
                 let lo = base.block_row_ptr[br] as usize;
                 let hi = base.block_row_ptr[br + 1] as usize;
-                let blocks: Vec<_> = (lo..hi)
-                    .map(|k| (base.block_cols[k], base.bitmaps[k], base.decode_block(k)))
-                    .collect();
-                row_entries(&blocks)
+                let values =
+                    &base.values[base.block_offsets[lo] as usize..base.block_offsets[hi] as usize];
+                Entries::of_row(&base.block_cols[lo..hi], &base.bitmaps[lo..hi], values)
             })
             .collect();
         self.splice_block_rows(touched, rows);

@@ -15,8 +15,8 @@
 use spaden_gpusim::half::F16;
 use spaden_sparse::csr::Csr;
 use spaden_sparse::gen::BLOCK_DIM;
-use spaden_sparse::par;
-use spaden_sparse::stats::{BlockClass, BlockProfile};
+use spaden_sparse::stats::BlockProfile;
+use spaden_sparse::{blockrow, par};
 use spaden_sparse::types::{validate_offsets, SparseError, SparseResult};
 
 /// A sparse matrix in bitBSR format.
@@ -43,8 +43,26 @@ pub struct BitBsr {
     pub values: Vec<F16>,
 }
 
+/// One run's blocks, in block order: what the walk in
+/// [`BitBsr::from_csr`] emits besides the values it writes in place.
+#[derive(Default)]
+struct Blocks {
+    /// Block count at the end of each block-row of the run.
+    ends: Vec<u32>,
+    cols: Vec<u32>,
+    bitmaps: Vec<u64>,
+    /// Global value offset of each block.
+    offsets: Vec<u32>,
+}
+
 impl BitBsr {
-    /// Converts from CSR (parallel over block-rows).
+    /// Converts from CSR in one linear walk per block-row (see
+    /// [`spaden_sparse::blockrow`]), on nnz-balanced pool runs.
+    ///
+    /// The walk meets a block-row's nonzeros in bitBSR's bit order, so it
+    /// packs each value as it goes: block-row `br`'s values are exactly
+    /// its CSR range `row_ptr[8·br] .. row_ptr[8·br + 8]`, written in place
+    /// into `values`, which is allocated once at its final size.
     ///
     /// Values are rounded to f16 here, once, at conversion time — exactly
     /// like the CUDA implementation, which converts while building the
@@ -52,92 +70,53 @@ impl BitBsr {
     pub fn from_csr(csr: &Csr) -> Self {
         let block_rows = csr.nrows.div_ceil(BLOCK_DIM);
         let block_cols_dim = csr.ncols.div_ceil(BLOCK_DIM);
+        let start = |br: usize| blockrow::csr_start(csr, BLOCK_DIM, br);
+        let runs = blockrow::runs(block_rows, start);
 
-        // Pass 1: per block-row, sorted (block col, bitmap) pairs.
-        let per_row: Vec<Vec<(u32, u64)>> = par::map_indexed(block_rows, |br| {
-            let mut blocks: Vec<(u32, u64)> = Vec::new();
-            let r_end = ((br + 1) * BLOCK_DIM).min(csr.nrows);
-            for r in br * BLOCK_DIM..r_end {
-                let dr = r - br * BLOCK_DIM;
-                let (cols, _) = csr.row(r);
-                for &c in cols {
-                    let bc = c / BLOCK_DIM as u32;
-                    let dc = (c as usize) % BLOCK_DIM;
-                    let bit = 1u64 << (dr * BLOCK_DIM + dc);
-                    match blocks.binary_search_by_key(&bc, |e| e.0) {
-                        Ok(i) => blocks[i].1 |= bit,
-                        Err(i) => blocks.insert(i, (bc, bit)),
+        let mut values = vec![F16::ZERO; csr.nnz()];
+        let mut parts: Vec<Blocks> = runs.iter().map(|_| Blocks::default()).collect();
+        let lens = runs.iter().map(|r| start(r.end) - start(r.start));
+        let windows = blockrow::split_mut(&mut values, lens);
+        let items: Vec<_> = runs.iter().cloned().zip(windows).zip(&mut parts).collect();
+        par::for_each_task(items, |_, ((run, out), part)| {
+            let base = start(run.start);
+            let mut at = 0;
+            for br in run {
+                let mut cur = u32::MAX;
+                blockrow::for_each_nonzero(csr, br, BLOCK_DIM, |bc, dr, dc, v| {
+                    if bc != cur {
+                        cur = bc;
+                        part.cols.push(bc);
+                        part.bitmaps.push(0);
+                        part.offsets.push((base + at) as u32);
                     }
-                }
+                    *part.bitmaps.last_mut().expect("block opened above") |=
+                        1u64 << (dr * BLOCK_DIM + dc);
+                    out[at] = F16::from_f32(v);
+                    at += 1;
+                });
+                part.ends.push(part.cols.len() as u32);
             }
-            blocks
         });
 
-        let counts: Vec<u32> = per_row.iter().map(|b| b.len() as u32).collect();
-        let block_row_ptr = spaden_sparse::scan::exclusive_scan_par(&counts);
-        let bnnz = *block_row_ptr.last().expect("scan non-empty") as usize;
-
-        let mut block_cols = vec![0u32; bnnz];
-        let mut bitmaps = vec![0u64; bnnz];
-        {
-            let mut cursor = 0usize;
-            for blocks in &per_row {
-                for &(bc, bmp) in blocks {
-                    block_cols[cursor] = bc;
-                    bitmaps[cursor] = bmp;
-                    cursor += 1;
-                }
-            }
+        // Stitch the runs' blocks together; one run is moved, not copied.
+        let bnnz: usize = parts.iter().map(|p| p.cols.len()).sum();
+        let mut parts = parts.into_iter();
+        let mut all = parts.next().unwrap_or_default();
+        all.cols.reserve_exact(bnnz - all.cols.len());
+        all.bitmaps.reserve_exact(bnnz - all.bitmaps.len());
+        all.offsets.reserve_exact(bnnz + 1 - all.offsets.len());
+        for p in parts {
+            let shift = all.cols.len() as u32;
+            all.ends.extend(p.ends.iter().map(|e| e + shift));
+            all.cols.extend_from_slice(&p.cols);
+            all.bitmaps.extend_from_slice(&p.bitmaps);
+            all.offsets.extend_from_slice(&p.offsets);
         }
-
-        // Exclusive scan over per-block popcounts -> value offsets.
-        let popcounts: Vec<u32> = par::map_indexed(bitmaps.len(), |i| bitmaps[i].count_ones());
-        let block_offsets = spaden_sparse::scan::exclusive_scan_par(&popcounts);
-        let nnz = *block_offsets.last().expect("scan non-empty") as usize;
-
-        // Pass 2: place values. Each block-row owns a disjoint value range.
-        let mut values = vec![F16::ZERO; nnz];
-        {
-            let ranges: Vec<(usize, usize, usize)> = (0..block_rows)
-                .map(|br| {
-                    let blo = block_row_ptr[br] as usize;
-                    let bhi = block_row_ptr[br + 1] as usize;
-                    (br, block_offsets[blo] as usize, if blo == bhi { 0 } else { blo })
-                })
-                .collect();
-            let mut slices: Vec<&mut [F16]> = Vec::with_capacity(block_rows);
-            let mut rest: &mut [F16] = &mut values;
-            for br in 0..block_rows {
-                let blo = block_row_ptr[br] as usize;
-                let bhi = block_row_ptr[br + 1] as usize;
-                let len = (block_offsets[bhi] - block_offsets[blo]) as usize;
-                let (s, r) = rest.split_at_mut(len);
-                slices.push(s);
-                rest = r;
-            }
-            drop(ranges);
-            par::for_each_item(slices, |br, out| {
-                let blo = block_row_ptr[br] as usize;
-                let base = block_offsets[blo] as usize;
-                let blocks = &per_row[br];
-                let r_end = ((br + 1) * BLOCK_DIM).min(csr.nrows);
-                for r in br * BLOCK_DIM..r_end {
-                    let dr = r - br * BLOCK_DIM;
-                    let (cols, vals) = csr.row(r);
-                    for (c, v) in cols.iter().zip(vals) {
-                        let bc = c / BLOCK_DIM as u32;
-                        let k = blocks
-                            .binary_search_by_key(&bc, |e| e.0)
-                            .expect("block recorded in pass 1");
-                        let bit_idx = dr * BLOCK_DIM + (*c as usize) % BLOCK_DIM;
-                        let bmp = blocks[k].1;
-                        let within = (bmp & ((1u64 << bit_idx) - 1)).count_ones() as usize;
-                        let off = block_offsets[blo + k] as usize - base + within;
-                        out[off] = F16::from_f32(*v);
-                    }
-                }
-            });
-        }
+        all.offsets.push(csr.nnz() as u32);
+        let mut block_row_ptr = Vec::with_capacity(block_rows + 1);
+        block_row_ptr.push(0);
+        block_row_ptr.extend_from_slice(&all.ends);
 
         BitBsr {
             nrows: csr.nrows,
@@ -145,9 +124,9 @@ impl BitBsr {
             block_rows,
             block_cols_dim,
             block_row_ptr,
-            block_cols,
-            bitmaps,
-            block_offsets,
+            block_cols: all.cols,
+            bitmaps: all.bitmaps,
+            block_offsets: all.offsets,
             values,
         }
     }
@@ -192,13 +171,7 @@ impl BitBsr {
     pub fn block_profile(&self) -> BlockProfile {
         let mut p = BlockProfile::default();
         for bmp in &self.bitmaps {
-            let n = bmp.count_ones() as usize;
-            p.nnz += n;
-            match BlockClass::of(n) {
-                BlockClass::Sparse => p.sparse += 1,
-                BlockClass::Medium => p.medium += 1,
-                BlockClass::Dense => p.dense += 1,
-            }
+            p.add_block(bmp.count_ones() as usize);
         }
         p
     }
@@ -366,19 +339,8 @@ impl BlockSizeAnalysis {
 pub fn analyze_block_size(csr: &Csr, dim: usize) -> BlockSizeAnalysis {
     assert!(dim.is_power_of_two() && (2..=64).contains(&dim));
     let block_rows = csr.nrows.div_ceil(dim);
-    let blocks: usize = par::map_indexed(block_rows, |br| {
-        let mut cols: Vec<u32> = Vec::new();
-        let r_end = ((br + 1) * dim).min(csr.nrows);
-        for r in br * dim..r_end {
-            let (ci, _) = csr.row(r);
-            for &c in ci {
-                let bc = c / dim as u32;
-                if let Err(i) = cols.binary_search(&bc) {
-                    cols.insert(i, bc);
-                }
-            }
-        }
-        cols.len()
+    let blocks: usize = blockrow::map_runs(csr, dim, |run| {
+        run.map(|br| blockrow::block_count(csr, br, dim)).sum::<usize>()
     })
     .into_iter()
     .sum();

@@ -49,6 +49,15 @@ impl SideEntry {
     }
 }
 
+/// One logical block-row of a [`DeltaBitBsr`]: block columns, bitmaps and
+/// the values packed in bit order, as in [`BitBsr`].
+#[derive(Default)]
+pub(crate) struct LogicalBlockRow {
+    pub(crate) cols: Vec<u32>,
+    pub(crate) bitmaps: Vec<u64>,
+    pub(crate) values: Vec<F16>,
+}
+
 /// Seeded corruption of the update path (chaos hook): flips one bit of
 /// the f16 value stored for the `delta_index`-th delta of a batch —
 /// *after* the CSR truth is recorded, so the incremental structure
@@ -352,19 +361,15 @@ impl DeltaBitBsr {
         self.side.clear();
     }
 
-    /// Densifies one *logical* block-row (base blocks merged with side
-    /// entries) as `(block_col, bitmap, dense 8×8 values)` triples in
-    /// ascending block-column order — the exact view the checksum
-    /// builder and the compacted format would see.
-    pub(crate) fn logical_block_row(
-        &self,
-        br: usize,
-    ) -> Vec<(u32, u64, [f32; BLOCK_DIM * BLOCK_DIM])> {
+    /// One *logical* block-row (base blocks merged with side entries) in
+    /// ascending block-column order, values packed in bit order — the
+    /// exact view the checksum builder and the compacted format would see.
+    pub(crate) fn logical_block_row(&self, br: usize) -> LogicalBlockRow {
         let lo = self.base.block_row_ptr[br] as usize;
         let hi = self.base.block_row_ptr[br + 1] as usize;
         let s_lo = self.side.partition_point(|e| e.key().0 < br);
         let s_hi = self.side.partition_point(|e| e.key().0 <= br);
-        let mut out = Vec::new();
+        let mut out = LogicalBlockRow::default();
         let (mut k, mut s) = (lo, s_lo);
         while k < hi || s < s_hi {
             let base_bc = (k < hi).then(|| self.base.block_cols[k]);
@@ -378,21 +383,23 @@ impl DeltaBitBsr {
                 (None, None) => unreachable!("loop condition guarantees one side"),
             };
             if take_base {
-                let mut dense = [0.0f32; BLOCK_DIM * BLOCK_DIM];
-                dense.copy_from_slice(&self.base.decode_block(k));
-                out.push((base_bc.unwrap(), self.base.bitmaps[k], dense));
+                let (v_lo, v_hi) =
+                    (self.base.block_offsets[k] as usize, self.base.block_offsets[k + 1] as usize);
+                out.cols.push(self.base.block_cols[k]);
+                out.bitmaps.push(self.base.bitmaps[k]);
+                out.values.extend_from_slice(&self.base.values[v_lo..v_hi]);
                 k += 1;
             } else {
-                let sb = side_bc.unwrap();
+                let sb = side_bc.expect("side stream chosen");
                 let mut bitmap = 0u64;
-                let mut dense = [0.0f32; BLOCK_DIM * BLOCK_DIM];
+                // Side entries are in key order, so bit order within a block.
                 while s < s_hi && self.side[s].col / BLOCK_DIM as u32 == sb {
-                    let bit = self.side[s].key().2;
-                    bitmap |= 1u64 << bit;
-                    dense[bit] = self.side[s].value.to_f32();
+                    bitmap |= 1u64 << self.side[s].key().2;
+                    out.values.push(self.side[s].value);
                     s += 1;
                 }
-                out.push((sb, bitmap, dense));
+                out.cols.push(sb);
+                out.bitmaps.push(bitmap);
             }
         }
         out
@@ -410,13 +417,17 @@ impl DeltaBitBsr {
         let mut bad = 0usize;
         for &br in touched {
             let mut logical: Vec<(u32, u32, u16)> = Vec::new();
-            for (bc, bitmap, dense) in self.logical_block_row(br) {
-                for bit in 0..64usize {
-                    if bitmap & (1u64 << bit) != 0 {
-                        let r = (br * BLOCK_DIM + bit / BLOCK_DIM) as u32;
-                        let c = bc * BLOCK_DIM as u32 + (bit % BLOCK_DIM) as u32;
-                        logical.push((r, c, F16::from_f32(dense[bit]).0));
-                    }
+            let row = self.logical_block_row(br);
+            let mut values = row.values.iter();
+            for (&bc, &bitmap) in row.cols.iter().zip(&row.bitmaps) {
+                let mut bits = bitmap;
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let v = values.next().expect("one value per set bit");
+                    let r = (br * BLOCK_DIM + bit / BLOCK_DIM) as u32;
+                    let c = bc * BLOCK_DIM as u32 + (bit % BLOCK_DIM) as u32;
+                    logical.push((r, c, F16::from_f32(v.to_f32()).0));
                 }
             }
             logical.sort_unstable_by_key(|&(r, c, _)| (r, c));

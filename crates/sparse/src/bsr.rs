@@ -3,10 +3,12 @@
 //! between CSR and the paper's bitBSR, and the format behind the cuSPARSE
 //! BSR baseline.
 
+use crate::blockrow;
 use crate::csr::Csr;
 use crate::gen::BLOCK_DIM;
 use crate::par;
 use crate::types::{validate_offsets, SparseError, SparseResult};
+use std::ops::Range;
 
 /// BSR with square `BLOCK_DIM x BLOCK_DIM` (8×8) dense blocks.
 ///
@@ -31,67 +33,46 @@ pub struct Bsr {
 }
 
 impl Bsr {
-    /// Converts from CSR. Parallelised over block-rows; each block-row
-    /// scans its 8 CSR rows twice (count pass, fill pass).
+    /// Converts from CSR in two linear walks over nnz-balanced runs of
+    /// block-rows (see [`crate::blockrow`]): one counts each block-row's
+    /// blocks, the other writes block columns and values in place, each
+    /// run into its own window of the final arrays.
     pub fn from_csr(csr: &Csr) -> Self {
         let block_rows = csr.nrows.div_ceil(BLOCK_DIM);
         let block_cols_dim = csr.ncols.div_ceil(BLOCK_DIM);
+        let runs = blockrow::runs(block_rows, |br| blockrow::csr_start(csr, BLOCK_DIM, br));
 
-        // Pass 1: per block-row, the sorted list of non-empty block columns.
-        let per_row_cols: Vec<Vec<u32>> = par::map_indexed(block_rows, |br| {
-            let mut cols: Vec<u32> = Vec::new();
-            let r_end = ((br + 1) * BLOCK_DIM).min(csr.nrows);
-            for r in br * BLOCK_DIM..r_end {
-                let (ci, _) = csr.row(r);
-                for &c in ci {
-                    cols.push(c / BLOCK_DIM as u32);
-                }
-            }
-            cols.sort_unstable();
-            cols.dedup();
-            cols
-        });
-
-        let counts: Vec<u32> = per_row_cols.iter().map(|c| c.len() as u32).collect();
+        let counts = blockrow::map_runs(csr, BLOCK_DIM, |run| {
+            run.map(|br| blockrow::block_count(csr, br, BLOCK_DIM) as u32).collect::<Vec<_>>()
+        })
+        .concat();
         let block_row_ptr = crate::scan::exclusive_scan_par(&counts);
         let bnnz = *block_row_ptr.last().expect("scan output non-empty") as usize;
 
+        const AREA: usize = BLOCK_DIM * BLOCK_DIM;
         let mut block_cols = vec![0u32; bnnz];
-        let mut values = vec![0.0f32; bnnz * BLOCK_DIM * BLOCK_DIM];
-
-        // Pass 2: fill blocks in parallel. Each block-row owns a disjoint
-        // slice of `block_cols` and `values`.
-        {
-            let col_slices: Vec<(&mut [u32], &mut [f32])> = {
-                let mut cs: Vec<(&mut [u32], &mut [f32])> = Vec::with_capacity(block_rows);
-                let mut rem_c: &mut [u32] = &mut block_cols;
-                let mut rem_v: &mut [f32] = &mut values;
-                for br in 0..block_rows {
-                    let n = counts[br] as usize;
-                    let (c, rc) = rem_c.split_at_mut(n);
-                    let (v, rv) = rem_v.split_at_mut(n * BLOCK_DIM * BLOCK_DIM);
-                    cs.push((c, v));
-                    rem_c = rc;
-                    rem_v = rv;
-                }
-                cs
-            };
-            par::for_each_item(col_slices, |br, (cols_out, vals_out)| {
-                let cols = &per_row_cols[br];
-                cols_out.copy_from_slice(cols);
-                let r_end = ((br + 1) * BLOCK_DIM).min(csr.nrows);
-                for r in br * BLOCK_DIM..r_end {
-                    let dr = r - br * BLOCK_DIM;
-                    let (ci, vi) = csr.row(r);
-                    for (c, v) in ci.iter().zip(vi) {
-                        let bc = c / BLOCK_DIM as u32;
-                        let k = cols.binary_search(&bc).expect("block recorded in pass 1");
-                        let dc = (*c as usize) % BLOCK_DIM;
-                        vals_out[k * BLOCK_DIM * BLOCK_DIM + dr * BLOCK_DIM + dc] = *v;
+        let mut values = vec![0.0f32; bnnz * AREA];
+        let blocks_in = |r: &Range<usize>| (block_row_ptr[r.end] - block_row_ptr[r.start]) as usize;
+        let items: Vec<_> = runs
+            .iter()
+            .cloned()
+            .zip(blockrow::split_mut(&mut block_cols, runs.iter().map(blocks_in)))
+            .zip(blockrow::split_mut(&mut values, runs.iter().map(|r| blocks_in(r) * AREA)))
+            .collect();
+        par::for_each_task(items, |_, ((run, cols), vals)| {
+            let mut k = 0;
+            for br in run {
+                let mut cur = u32::MAX;
+                blockrow::for_each_nonzero(csr, br, BLOCK_DIM, |bc, dr, dc, v| {
+                    if bc != cur {
+                        cur = bc;
+                        cols[k] = bc;
+                        k += 1;
                     }
-                }
-            });
-        }
+                    vals[(k - 1) * AREA + dr * BLOCK_DIM + dc] = v;
+                });
+            }
+        });
 
         Bsr {
             nrows: csr.nrows,

@@ -40,7 +40,9 @@ impl Csr {
         }
         validate_offsets(&row_ptr, values.len(), "row_ptr")?;
         validate_indices(&col_idx, ncols, "col_idx")?;
-        Ok(Csr { nrows, ncols, row_ptr, col_idx, values })
+        let csr = Csr { nrows, ncols, row_ptr, col_idx, values };
+        csr.check_row_order()?;
+        Ok(csr)
     }
 
     /// An empty `nrows x ncols` matrix.
@@ -209,6 +211,12 @@ impl Csr {
         }
         validate_offsets(&self.row_ptr, self.nnz(), "row_ptr")?;
         validate_indices(&self.col_idx, self.ncols, "col_idx")?;
+        self.check_row_order()
+    }
+
+    /// Checks that columns are strictly increasing within each row; the
+    /// blocked conversions' merge walk relies on it.
+    fn check_row_order(&self) -> SparseResult<()> {
         for r in 0..self.nrows {
             let (cols, _) = self.row(r);
             if let Some(w) = cols.windows(2).find(|w| w[0] >= w[1]) {
@@ -258,6 +266,18 @@ mod tests {
         assert!(Csr::new(2, 2, vec![0, 1], vec![0], vec![1.0]).is_err(), "short row_ptr");
         assert!(Csr::new(2, 2, vec![0, 1, 1], vec![5], vec![1.0]).is_err(), "col oob");
         assert!(Csr::new(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err(), "non-monotone");
+    }
+
+    #[test]
+    fn construction_rejects_unsorted_and_duplicate_columns() {
+        for (cols, what) in [(vec![2, 0], "unsorted"), (vec![1, 1], "duplicate")] {
+            match Csr::new(2, 3, vec![0, 0, 2], cols, vec![1.0, 2.0]) {
+                Err(SparseError::MalformedOffsets { what: msg }) => {
+                    assert!(msg.contains("row 1"), "{what}: {msg}")
+                }
+                other => panic!("{what} columns: expected MalformedOffsets, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   available;
 //! * deterministic synthetic dataset generators ([`gen`], [`datasets`])
 //!   parameterised to match Table 1 of the paper;
-//! * block-structure analytics ([`stats`]) backing Figure 9.
+//! * block-structure analytics ([`stats`]) backing Figure 9, and the one
+//!   linear block-row walk ([`blockrow`]) the blocked formats and those
+//!   analytics are built from.
 //!
 //! All formats store values as `f32`, matching the paper's evaluated
 //! precision ("The precision of the evaluated output is 32-bit floating
@@ -26,6 +28,7 @@
 // keep kernels readable next to their CUDA counterparts.
 #![allow(clippy::needless_range_loop)]
 
+pub mod blockrow;
 pub mod bsr;
 pub mod coo;
 pub mod csr;

@@ -4,9 +4,9 @@
 //! (nnz ≤ 32), *medium* (33–48) and *dense* (> 48), and shows that Spaden's
 //! advantage over cuSPARSE BSR grows with the sparse-block ratio.
 
+use crate::blockrow;
 use crate::csr::Csr;
 use crate::gen::BLOCK_DIM;
-use crate::par;
 
 /// The paper's three block classes (Section 5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +44,16 @@ pub struct BlockProfile {
 }
 
 impl BlockProfile {
+    /// Counts one non-empty block holding `nnz` nonzeros.
+    pub fn add_block(&mut self, nnz: usize) {
+        self.nnz += nnz;
+        match BlockClass::of(nnz) {
+            BlockClass::Sparse => self.sparse += 1,
+            BlockClass::Medium => self.medium += 1,
+            BlockClass::Dense => self.dense += 1,
+        }
+    }
+
     /// Total non-empty blocks (`Bnnz`).
     pub fn total(&self) -> usize {
         self.sparse + self.medium + self.dense
@@ -86,31 +96,24 @@ impl BlockProfile {
     }
 }
 
-/// Computes the block profile of a CSR matrix for 8×8 blocking, in parallel
-/// over block-rows.
+/// Computes the block profile of a CSR matrix for 8×8 blocking, from the
+/// linear block-row walk of [`crate::blockrow`] on nnz-balanced pool runs.
 pub fn block_profile(csr: &Csr) -> BlockProfile {
-    let block_rows = csr.nrows.div_ceil(BLOCK_DIM);
-    par::map_indexed(block_rows, |br| {
-        // Count nnz per non-empty block column within this block-row.
-        let mut cols: Vec<(u32, u32)> = Vec::new(); // (block col, count)
-        let r_end = ((br + 1) * BLOCK_DIM).min(csr.nrows);
-        for r in br * BLOCK_DIM..r_end {
-            let (ci, _) = csr.row(r);
-            for &c in ci {
-                let bc = c / BLOCK_DIM as u32;
-                match cols.binary_search_by_key(&bc, |e| e.0) {
-                    Ok(i) => cols[i].1 += 1,
-                    Err(i) => cols.insert(i, (bc, 1)),
-                }
-            }
-        }
+    blockrow::map_runs(csr, BLOCK_DIM, |run| {
         let mut p = BlockProfile::default();
-        for &(_, count) in &cols {
-            p.nnz += count as usize;
-            match BlockClass::of(count as usize) {
-                BlockClass::Sparse => p.sparse += 1,
-                BlockClass::Medium => p.medium += 1,
-                BlockClass::Dense => p.dense += 1,
+        for br in run {
+            let (mut cur, mut n) = (u32::MAX, 0);
+            blockrow::for_each_nonzero(csr, br, BLOCK_DIM, |bc, _, _, _| {
+                if bc != cur {
+                    if n > 0 {
+                        p.add_block(n);
+                    }
+                    (cur, n) = (bc, 0);
+                }
+                n += 1;
+            });
+            if n > 0 {
+                p.add_block(n);
             }
         }
         p

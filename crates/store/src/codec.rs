@@ -406,6 +406,24 @@ mod tests {
     }
 
     #[test]
+    fn swapped_columns_decode_to_a_typed_error() {
+        // A snapshot whose CSR columns were swapped within a row decodes to
+        // a typed error: the blocked conversions' merge walk relies on
+        // strictly increasing columns.
+        let mut csr = gen::random_uniform(24, 24, 80, 5);
+        let row = (0..csr.nrows).find(|&r| csr.row_nnz(r) >= 2).expect("a row with two nonzeros");
+        let lo = csr.row_ptr[row] as usize;
+        csr.col_idx.swap(lo, lo + 1);
+        let mut w = ByteWriter::new();
+        encode_csr(&mut w, &csr);
+        let bytes = w.finish();
+        match decode_csr(&mut ByteReader::new(&bytes)) {
+            Err(CodecError::Invalid(msg)) => assert!(msg.contains("strictly increasing"), "{msg}"),
+            other => panic!("expected a typed Invalid error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncation_and_bad_lengths_are_typed() {
         let csr = gen::random_uniform(24, 24, 80, 3);
         let mut w = ByteWriter::new();
