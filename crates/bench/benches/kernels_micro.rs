@@ -1,17 +1,17 @@
 //! Microbenchmarks of the simulator substrate: fragment load/store, MMA
-//! emulation, bitmap decode, f16 conversion, coalescer and L2 model, and
-//! the fixed host cost of one launch. These bound how fast the functional
-//! simulation itself can go.
+//! emulation, bitmap decode, f16 conversion, coalescer, L2 model, pair
+//! gathers, warp reductions, and the fixed host cost of one launch. These
+//! bound how fast the functional simulation itself can go.
 
 use spaden::decode::{decode_matrix_values, value_indices};
 use spaden::{BitBsr, SpadenEngine, SpmvEngine};
 use spaden_baselines::GunrockEngine;
 use spaden_bench::BenchGroup;
-use spaden_gpusim::exec::POOLED_MIN_WARPS;
+use spaden_gpusim::exec::{lanes_from, POOLED_MIN_WARPS, WARP_SIZE};
 use spaden_gpusim::fragment::{FragKind, Fragment};
 use spaden_gpusim::half::F16;
 use spaden_gpusim::memory::{coalesce_into, L2Cache};
-use spaden_gpusim::mma::mma_sync;
+use spaden_gpusim::mma::{mma_accumulate, mma_sync};
 use spaden_gpusim::{Gpu, GpuConfig};
 
 fn main() {
@@ -57,8 +57,15 @@ fn main() {
         }
         let cc = Fragment::new(FragKind::Accumulator);
         let mut d = Fragment::new(FragKind::Accumulator);
-        g.bench("m16n16k16_block_diagonal", move || {
+        g.bench("m16n16k16_block_diagonal", || {
             mma_sync(&mut d, std::hint::black_box(&a), &bb, &cc)
+        });
+        // The same operands accumulated in place, as the kernels chain
+        // their MMAs: no copy of C into D.
+        let mut acc = Fragment::new(FragKind::Accumulator);
+        g.bench("m16n16k16_in_place", || {
+            mma_accumulate(&mut acc, std::hint::black_box(&a), &bb);
+            acc.regs[0][0]
         });
     }
 
@@ -111,13 +118,45 @@ fn main() {
         vals.iter().map(|&v| F16::from_f32(std::hint::black_box(v)).to_f32()).sum::<f32>()
     });
 
-    // Coalescer on a strided warp access.
+    // Coalescer on a strided warp access, then 64 warp instructions per
+    // iteration of a unit-stride and of a CSR x-gather access (throughput
+    // counts instructions). The x-gather is cuSPARSE CSR's at vector
+    // width 4: eight rows of a random matrix, four lanes each, so every
+    // row's columns ascend and the warp's addresses descend between rows.
     let g = BenchGroup::new("memory_model");
+    let mut scratch = Vec::with_capacity(64);
+    g.bench("coalesce_32_strided", || {
+        coalesce_into((0..32u64).map(|i| i * 128), std::hint::black_box(&mut scratch));
+        scratch.len()
+    });
     {
-        let mut scratch = Vec::with_capacity(64);
-        g.bench("coalesce_32_strided", move || {
-            coalesce_into((0..32u64).map(|i| i * 128), std::hint::black_box(&mut scratch));
-            scratch.len()
+        let csr = spaden_sparse::gen::random_uniform(4096, 4096, 64 * 4096, 9);
+        let warps: Vec<[u64; WARP_SIZE]> = (0..64)
+            .map(|w| {
+                std::array::from_fn(|l| {
+                    let (lo, hi) = (csr.row_ptr[8 * w + l / 4], csr.row_ptr[8 * w + l / 4 + 1]);
+                    4 * csr.col_idx[(lo + l as u32 % 4).min(hi - 1) as usize] as u64
+                })
+            })
+            .collect();
+        let mut g = BenchGroup::new("memory_model");
+        g.throughput(64);
+        g.bench("coalesce_32_ascending", || {
+            (0..64u64)
+                .map(|w| {
+                    let base = std::hint::black_box(w * 4096);
+                    coalesce_into((0..32u64).map(|i| base + i * 4), &mut scratch);
+                    scratch.len()
+                })
+                .sum::<usize>()
+        });
+        g.bench("coalesce_32_random", || {
+            (std::hint::black_box(&warps).iter())
+                .map(|warp| {
+                    coalesce_into(warp.iter().copied(), &mut scratch);
+                    scratch.len()
+                })
+                .sum::<usize>()
         });
     }
     {
@@ -126,6 +165,60 @@ fn main() {
         g.bench("l2_access_stream", move || {
             s = s.wrapping_add(1);
             l2.access_sector(std::hint::black_box(s % 100_000))
+        });
+    }
+    {
+        // Sixteen lines 4,096 lines apart fill one set; the benchmark then
+        // hits the most recently used one 256 times per iteration, the
+        // common case of warps re-reading a line.
+        let mut l2 = L2Cache::new(1 << 20);
+        let stride = 4 * 4096;
+        for line in 0..16 {
+            l2.access_sector(line * stride);
+        }
+        let mut g = BenchGroup::new("memory_model");
+        g.throughput(256);
+        g.bench("l2_access_same_line", move || {
+            (0..256)
+                .filter(|_| l2.access_sector(std::hint::black_box(15 * stride)))
+                .count()
+        });
+    }
+    {
+        // cuSPARSE BSR's two pair loads per block: its 64 values, then
+        // the repeating 8-element x segment. 256 blocks per one-warp
+        // launch; throughput counts blocks.
+        let gpu = Gpu::new(GpuConfig::l40());
+        let values = gpu.alloc(vec![0.5f32; 256 * 64]);
+        let x = gpu.alloc(spaden_bench::make_x(4096));
+        let mut g = BenchGroup::new("memory_model");
+        g.throughput(256);
+        g.bench("gather_pair_bsr", || {
+            gpu.launch(1, |ctx| {
+                for k in 0..256u32 {
+                    let vidx = lanes_from((0..WARP_SIZE as u32).map(|l| k * 64 + 2 * l));
+                    let xidx =
+                        lanes_from((0..WARP_SIZE as u32).map(|l| k * 8 % 4088 + 2 * (l % 4)));
+                    std::hint::black_box(ctx.gather_pair(&values, &vidx));
+                    std::hint::black_box(ctx.gather_pair(&x, &xidx));
+                }
+            })
+        });
+    }
+
+    // Segmented warp reduction at cuSPARSE BSR's group width: 256 per
+    // one-warp launch; throughput counts reductions.
+    {
+        let gpu = Gpu::new(GpuConfig::l40());
+        let vals: [f32; WARP_SIZE] = std::array::from_fn(|l| l as f32 * 0.5 - 3.0);
+        let mut g = BenchGroup::new("reduce");
+        g.throughput(256);
+        g.bench("segmented_w4", || {
+            gpu.launch(1, |ctx| {
+                for _ in 0..256 {
+                    std::hint::black_box(ctx.segmented_reduce_sum(std::hint::black_box(&vals), 4));
+                }
+            })
         });
     }
 

@@ -224,9 +224,8 @@ impl SpmvEngine for BitCooEngine {
                 ctx.ops(2);
             }
 
-            let c = Fragment::new(FragKind::Accumulator);
             let mut acc = Fragment::new(FragKind::Accumulator);
-            ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag, &c);
+            ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
 
             // Atomic combine: other warps may hold blocks of the same rows.
             ctx.ops(3);

@@ -481,8 +481,7 @@ impl SpadenEngine {
                 self.fill_portion(ctx, &d_x, &mut a_frag, &mut b_frag, k0, 0);
                 self.fill_portion(ctx, &d_x, &mut a_frag, &mut b_frag, k1, 6);
                 // Algorithm 3 line 8: accumulate in place.
-                let c = acc.clone();
-                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag, &c);
+                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
             }
 
             // Algorithm 4: lanes with lid % 4 == 0 hold column 0 of each
@@ -526,8 +525,7 @@ impl SpadenEngine {
             for k in lo..hi {
                 ctx.ops(2);
                 self.fill_portion(ctx, &d_x, &mut a_frag, &mut b_frag, Some(k), 0);
-                let c = acc.clone();
-                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag, &c);
+                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
             }
 
             ctx.ops(4);

@@ -179,8 +179,7 @@ impl SpadenSddmmEngine {
                     ctx.ops(2);
                 }
 
-                let c = acc.clone();
-                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag, &c);
+                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
             }
 
             // Mask by the bitmap and scale by the pattern values; write the

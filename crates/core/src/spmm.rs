@@ -369,8 +369,7 @@ impl SpadenSpmmEngine {
                         ctx.ops(1);
                     }
                 }
-                let c = acc.clone();
-                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag, &c);
+                ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
             }
 
             // Extract both diagonal portions: 4 coalesced-ish scatters of

@@ -553,14 +553,10 @@ impl<'o> WarpCtx<'o> {
             idx
         };
         self.counters.load_insts += 1;
-        // `coalesce_into` over both elements of every active lane's pair.
-        self.scratch.clear();
-        for &i in idx.iter().flatten() {
-            self.scratch.push(buf.addr_raw(i as usize) / SECTOR_BYTES);
-            self.scratch.push(buf.addr_raw(i as usize + 1) / SECTOR_BYTES);
-        }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
+        coalesce_into(
+            idx.iter().flatten().flat_map(|&i| [i as usize, i as usize + 1].map(|i| buf.addr_raw(i))),
+            &mut self.scratch,
+        );
         self.account_read_sectors();
         if let Some(s) = &mut self.san {
             s.check_read(
@@ -726,10 +722,10 @@ impl<'o> WarpCtx<'o> {
         }
     }
 
-    /// Issues one `m16n16k16` MMA and computes `d = a×b + c`.
-    pub fn mma_16x16x16(&mut self, d: &mut Fragment, a: &Fragment, b: &Fragment, c: &Fragment) {
+    /// Issues one `m16n16k16` MMA that accumulates in place: `d = a×b + d`.
+    pub fn mma_16x16x16(&mut self, d: &mut Fragment, a: &Fragment, b: &Fragment) {
         self.counters.mma_m16n16k16 += 1;
-        crate::mma::mma_sync(d, a, b, c);
+        crate::mma::mma_accumulate(d, a, b);
         if let Some(s) = &mut self.san {
             // Per-block numeric guard rail: non-finite accumulators.
             s.check_mma_result(&d.regs);
@@ -870,6 +866,10 @@ impl<'o> WarpCtx<'o> {
 
     /// Segmented tree-reduction: sums each aligned group of `group` lanes
     /// (power of two); lane `l` receives the sum of its group.
+    ///
+    /// At each step lane `l` adds the lane `width` further on, wrapping
+    /// within its group: the group's first lane `l & !(group - 1)` plus
+    /// the offset `(l + width) & (group - 1)`.
     pub fn segmented_reduce_sum(
         &mut self,
         vals: &[f32; WARP_SIZE],
@@ -877,15 +877,13 @@ impl<'o> WarpCtx<'o> {
     ) -> [f32; WARP_SIZE] {
         assert!(group.is_power_of_two() && group <= WARP_SIZE);
         self.counters.cuda_ops += group.trailing_zeros() as u64;
+        let mask = group - 1;
         let mut v = *vals;
         let mut width = group / 2;
         while width > 0 {
             let mut next = v;
             for l in 0..WARP_SIZE {
-                let base = l / group * group;
-                let pos = l % group;
-                let partner = base + (pos + width) % group;
-                next[l] = v[l] + v[partner];
+                next[l] = v[l] + v[(l & !mask) | ((l + width) & mask)];
             }
             v = next;
             width /= 2;
@@ -1153,9 +1151,8 @@ mod tests {
             a.set(0, 0, 2.0);
             let mut b = Fragment::new(FragKind::MatrixB);
             b.set(0, 0, 3.0);
-            let acc = Fragment::new(FragKind::Accumulator);
             let mut d = Fragment::new(FragKind::Accumulator);
-            ctx.mma_16x16x16(&mut d, &a, &b, &acc);
+            ctx.mma_16x16x16(&mut d, &a, &b);
             assert_eq!(d.get(0, 0), 6.0);
         });
         assert_eq!(c.mma_m16n16k16, 1);
@@ -1505,9 +1502,8 @@ mod tests {
             let mut b = Fragment::new(FragKind::MatrixB);
             b.set(0, 0, 0.0); // Inf * 0 = NaN
             b.set(0, 1, 1.0); // Inf * 1 = Inf
-            let acc = Fragment::new(FragKind::Accumulator);
             let mut d = Fragment::new(FragKind::Accumulator);
-            ctx.mma_16x16x16(&mut d, &a, &b, &acc);
+            ctx.mma_16x16x16(&mut d, &a, &b);
         });
         let kinds: Vec<_> = g.take_san_reports().iter().map(|r| r.kind).collect();
         assert!(kinds.contains(&HazardKind::F16Overflow), "{kinds:?}");
@@ -1901,5 +1897,181 @@ mod tests {
         let msg = err.downcast_ref::<String>().map(String::as_str);
         assert_eq!(msg, Some(format!("warp {last} failed").as_str()));
         pooled_atomic_launch(&g);
+    }
+
+    // One lane-index array of a given access shape: unit stride from a
+    // random base (possibly running past the buffer), descending,
+    // broadcast, cuSPARSE CSR's x-gather (eight rows of four lanes,
+    // ascending within a row), random, or all inactive; active lanes
+    // under a random mask for half the shapes.
+    fn lane_shape(next: &mut impl FnMut() -> u64, len: u32) -> [Option<u32>; WARP_SIZE] {
+        let r = next();
+        let base = (r >> 8) as u32 % (len + 40);
+        let rows: [u32; 8] = std::array::from_fn(|_| next() as u32 % len);
+        let mask = if r & 0x10 == 0 { u32::MAX } else { next() as u32 };
+        std::array::from_fn(|l| {
+            let l32 = l as u32;
+            let i = match r % 7 {
+                0 => base + l32,
+                1 => base + 31 - l32,
+                2 => base,
+                3 => rows[l / 4] + l32 % 4,
+                4 => next() as u32 % (len + 8),
+                5 => return None,
+                _ => base + 2 * l32,
+            };
+            (mask >> l & 1 != 0).then_some(i)
+        })
+    }
+
+    // A launch of eight warps (inline, so a thread-local switch reaches
+    // every shard) issuing mixed memory instructions of every shape.
+    // Returns the counters after every instruction (which exposes each
+    // one's sectors and L2 hits), every loaded value's bits, the output,
+    // and the SimSan reports.
+    fn memory_instruction_launch(cfg: &GpuConfig) -> (Vec<Vec<u64>>, Vec<u32>, Vec<SanReport>) {
+        let g = Gpu::new(cfg.clone());
+        let f32s = g.alloc((0..600).map(|i| i as f32 * 0.5 - 99.0).collect::<Vec<_>>());
+        let u32s = g.alloc((0..300u32).collect::<Vec<_>>());
+        let f16s = g.alloc((0..500).map(|i| F16::from_f32(i as f32 - 250.0)).collect::<Vec<_>>());
+        let out = g.alloc_output(300);
+        let trace = Mutex::new(vec![Vec::new(); 8]);
+        g.launch(8, |ctx| {
+            let mut rng = 0x51ed_u64 + ctx.warp_id as u64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut seen = Vec::new();
+            for step in 0..40 {
+                let bits: Vec<u64> = match step % 8 {
+                    0 => ctx
+                        .gather(&f32s, &lane_shape(&mut next, 600))
+                        .map(|v| v.to_bits() as u64)
+                        .into(),
+                    1 => ctx.gather(&u32s, &lane_shape(&mut next, 300)).map(u64::from).into(),
+                    2 => ctx.gather(&f16s, &lane_shape(&mut next, 500)).map(|v| v.0 as u64).into(),
+                    3 => ctx
+                        .gather_nocache(&f32s, &lane_shape(&mut next, 600))
+                        .map(|v| v.to_bits() as u64)
+                        .into(),
+                    4 => ctx
+                        .gather_pair(&f32s, &lane_shape(&mut next, 600))
+                        .map(|(a, b)| (a.to_bits() as u64) << 32 | b.to_bits() as u64)
+                        .into(),
+                    5 => ctx
+                        .gather_pair(&f16s, &lane_shape(&mut next, 500))
+                        .map(|(a, b)| (a.0 as u64) << 16 | b.0 as u64)
+                        .into(),
+                    6 => {
+                        let idx = lane_shape(&mut next, 300);
+                        ctx.scatter(&out, &idx.map(|i| i.map(|i| (i, i as f32 + 0.25))));
+                        Vec::new()
+                    }
+                    _ => {
+                        let idx = lane_shape(&mut next, 300);
+                        ctx.atomic_add(&out, &idx.map(|i| i.map(|i| (i, 1.0 / (1 + i) as f32))));
+                        Vec::new()
+                    }
+                };
+                let c = &ctx.counters;
+                seen.push(vec![
+                    c.sectors_read,
+                    c.l2_hits,
+                    c.dram_read_bytes,
+                    c.sectors_written,
+                    c.dram_write_bytes,
+                    c.atomic_ops,
+                    c.faults_injected,
+                ]);
+                seen.push(bits);
+            }
+            trace.lock().unwrap()[ctx.warp_id] = seen;
+        });
+        let out_bits = out.to_vec().iter().map(|v| v.to_bits()).collect();
+        (trace.into_inner().unwrap().concat(), out_bits, g.take_san_reports())
+    }
+
+    #[test]
+    fn memory_instructions_match_the_sort_and_dedup_coalescer() {
+        use crate::fault::FaultConfig;
+        use crate::memory::reference::with_sort_every_warp;
+        use crate::san::SanConfig;
+        let faults = FaultConfig {
+            oob_read_rate: 0.3,
+            uninit_read_rate: 0.3,
+            ..FaultConfig::uniform(17, 0.1)
+        };
+        for (faults, san) in [
+            (FaultConfig::disabled(), false),
+            (FaultConfig::disabled(), true),
+            (faults, false),
+            (faults, true),
+            (FaultConfig::hazards(23, 0.3), true),
+        ] {
+            let mut cfg = GpuConfig::l40();
+            cfg.faults = faults;
+            cfg.san = if san { SanConfig::on() } else { SanConfig::default() };
+            let fast = memory_instruction_launch(&cfg);
+            let slow = with_sort_every_warp(|| memory_instruction_launch(&cfg));
+            assert_eq!(fast, slow, "faults {faults:?}, SimSan {san}");
+            if san {
+                assert!(!fast.2.is_empty(), "indices past the end must be reported");
+            }
+        }
+    }
+
+    // `segmented_reduce_sum` as it was: the partner lane from `/` and `%`.
+    fn segmented_reduce_by_division(vals: &[f32; WARP_SIZE], group: usize) -> [f32; WARP_SIZE] {
+        let mut v = *vals;
+        let mut width = group / 2;
+        while width > 0 {
+            let mut next = v;
+            for l in 0..WARP_SIZE {
+                let base = l / group * group;
+                let pos = l % group;
+                let partner = base + (pos + width) % group;
+                next[l] = v[l] + v[partner];
+            }
+            v = next;
+            width /= 2;
+        }
+        v
+    }
+
+    #[test]
+    fn segmented_reduce_matches_the_division_form_bit_for_bit() {
+        // Lanes drawn from signed zeros, infinities, NaN and finite values
+        // of many magnitudes, so the sums depend on the order of the adds.
+        let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut rng = 0x0dd_ba11_u64;
+        let g = gpu();
+        for case in 0..400 {
+            let vals: [f32; WARP_SIZE] = std::array::from_fn(|_| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = rng >> 33;
+                match (r % 16, case % 4) {
+                    (0, 0) => special[(r >> 8) as usize % 5],
+                    (0..=2, 1) => special[(r >> 8) as usize % 2],
+                    _ => {
+                        ((r >> 8) % 2001) as f32 * [1e-3, 1.0, 1e6][(r >> 20) as usize % 3] - 1000.0
+                    }
+                }
+            });
+            for group in [1, 2, 4, 8, 16, 32] {
+                let c = g.launch(1, |ctx| {
+                    let got = ctx.segmented_reduce_sum(&vals, group);
+                    let want = segmented_reduce_by_division(&vals, group);
+                    assert_eq!(
+                        got.map(f32::to_bits),
+                        want.map(f32::to_bits),
+                        "case {case}, group {group}"
+                    );
+                });
+                assert_eq!(c.cuda_ops, group.trailing_zeros() as u64);
+            }
+        }
     }
 }

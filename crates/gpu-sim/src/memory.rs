@@ -289,7 +289,10 @@ impl L2Cache {
         let len = if header >> 8 == generation { (header & 0xff) as usize } else { 0 };
         let ways = &mut self.words[base + 1..base + 1 + WAYS];
 
-        if let Some(way) = ways[..len].iter().position(|&w| w >> 4 == line) {
+        // Lines in a set are unique, so scanning from the most recently
+        // used end finds the same way as any other order, and a repeated
+        // line is found first.
+        if let Some(way) = ways[..len].iter().rposition(|&w| w >> 4 == line) {
             // Hit on the line: it becomes the most recently used.
             let entry = ways[way];
             ways[way..len].rotate_left(1);
@@ -312,13 +315,67 @@ impl L2Cache {
 /// Deduplicates a warp's byte addresses into unique 32-byte sectors
 /// (the coalescer), in ascending order. `scratch` is reused across calls
 /// to avoid allocation.
+///
+/// One pass drops each sector equal to the one before it and notes
+/// whether the sequence ever descends. Without a descent what is left
+/// already ascends strictly, which is the sorted, deduplicated list;
+/// only a descent pays for the sort.
 pub fn coalesce_into(addrs: impl Iterator<Item = u64>, scratch: &mut Vec<u64>) {
-    scratch.clear();
-    for a in addrs {
-        scratch.push(a / SECTOR_BYTES);
+    #[cfg(test)]
+    if reference::SORT_EVERY_WARP.get() {
+        return reference::coalesce_by_sort(addrs, scratch);
     }
-    scratch.sort_unstable();
-    scratch.dedup();
+    scratch.clear();
+    let mut sectors = addrs.map(|a| a / SECTOR_BYTES);
+    let Some(mut last) = sectors.next() else { return };
+    scratch.push(last);
+    let mut descends = false;
+    // `for_each` folds nested iterators (the gathers' active lanes, the
+    // pair loads' two elements) without re-entering them per item.
+    sectors.for_each(|sector| {
+        if sector != last {
+            descends |= sector < last;
+            scratch.push(sector);
+            last = sector;
+        }
+    });
+    if descends {
+        scratch.sort_unstable();
+        scratch.dedup();
+    }
+}
+
+/// The coalescer this module used to have, kept as the reference the
+/// single-pass one is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::SECTOR_BYTES;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, [`super::coalesce_into`] on this thread runs
+        /// [`coalesce_by_sort`] instead, so a launch small enough to run
+        /// inline can be replayed with the reference coalescer.
+        pub(crate) static SORT_EVERY_WARP: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Sorts and deduplicates every warp's sectors.
+    pub(crate) fn coalesce_by_sort(addrs: impl Iterator<Item = u64>, scratch: &mut Vec<u64>) {
+        scratch.clear();
+        for a in addrs {
+            scratch.push(a / SECTOR_BYTES);
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+    }
+
+    /// Runs `f` with [`coalesce_by_sort`] in place of the coalescer.
+    pub(crate) fn with_sort_every_warp<R>(f: impl FnOnce() -> R) -> R {
+        SORT_EVERY_WARP.set(true);
+        let out = f();
+        SORT_EVERY_WARP.set(false);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -442,16 +499,29 @@ mod tests {
     #[test]
     fn cache_matches_a_last_use_stamp_lru_reference() {
         // Reference model: per set, (line, sector mask, last-use tick); a
-        // full set evicts the line with the smallest tick.
-        for capacity in [2048usize, 16 << 10, 64 << 10] {
+        // full set evicts the line with the smallest tick. Each capacity
+        // runs two traces: mostly a hot region with cold sweeps, and an
+        // MRU-heavy one that mostly revisits the last four sectors or
+        // their line neighbours, so most hits land on the MRU end.
+        for (capacity, mru_heavy) in
+            [2048usize, 16 << 10, 64 << 10].into_iter().flat_map(|c| [(c, false), (c, true)])
+        {
             let mut cache = L2Cache::new(capacity);
             let nsets = cache.sets() as u64;
             let mut sets: Vec<Vec<(u64, u8, u64)>> = vec![Vec::new(); nsets as usize];
-            let mut rng = capacity as u64;
+            let mut rng = capacity as u64 + mru_heavy as u64;
+            let mut recent = [0u64; 4];
             for tick in 0..30_000u64 {
-                // Mostly a hot region, sometimes a cold sweep.
                 let r = lcg(&mut rng);
-                let sector = if r.is_multiple_of(4) { r % 20_000 } else { r % (nsets * 64) };
+                let sector = if mru_heavy && !r.is_multiple_of(8) {
+                    let s = recent[(r >> 3) as usize % 4];
+                    if r & 0x40 == 0 { s } else { s & !3 | (r >> 8) & 3 }
+                } else if r.is_multiple_of(4) {
+                    r % 20_000
+                } else {
+                    r % (nsets * 64)
+                };
+                recent[tick as usize % 4] = sector;
                 let (line, bit) = (sector >> 2, 1u8 << (sector & 3));
                 let set = &mut sets[(line % nsets) as usize];
                 let want = match set.iter_mut().find(|e| e.0 == line) {
@@ -470,7 +540,8 @@ mod tests {
                         false
                     }
                 };
-                assert_eq!(cache.access_sector(sector), want, "capacity {capacity}, tick {tick}");
+                let got = cache.access_sector(sector);
+                assert_eq!(got, want, "capacity {capacity}, MRU-heavy {mru_heavy}, tick {tick}");
             }
         }
     }
@@ -494,5 +565,63 @@ mod tests {
         assert_eq!(reused.generation, 1);
         assert_eq!(hits(&mut reused), fresh);
         assert_eq!(reused.capacity_bytes(), capacity);
+    }
+
+    // Warp address shapes: `lane_addr` maps an active lane to its byte
+    // address; inactive lanes come from a random mask.
+    fn warp_shapes(rng: &mut u64) -> Vec<Vec<u64>> {
+        let mut warps = Vec::new();
+        for round in 0..400u64 {
+            let mask = match round % 5 {
+                0 => u32::MAX,
+                1 => 0,
+                _ => lcg(rng) as u32 | (lcg(rng) as u32) << 16,
+            };
+            let base = (lcg(rng) % 4096) * 4;
+            // Per-row column starts for the CSR x-gather shape: eight rows
+            // of four lanes, ascending within a row.
+            let rows: [u64; 8] = std::array::from_fn(|_| lcg(rng) % 2048);
+            let shape = round / 5 % 8;
+            let lane_addr = |l: u64, r: u64| -> u64 {
+                match shape {
+                    0 => base + 4 * l,                                       // unit stride
+                    1 => base + 2 * l,                                       // f16 unit stride
+                    2 => base + 4 * (31 - l),                                // descending
+                    3 => base,                                               // broadcast
+                    4 => base + 128 * (l / 3),                               // repeated runs
+                    5 => 4 * (rows[l as usize / 4] + (l % 4) * (1 + r % 3)), // CSR x-gather
+                    6 => (r % 64) * 32 + l % 2,                              // random sectors
+                    _ => u64::MAX / 2 + 4 * l,                               // far past any buffer
+                }
+            };
+            let addrs: Vec<u64> =
+                (0..32).filter(|l| mask >> l & 1 != 0).map(|l| lane_addr(l, lcg(rng))).collect();
+            // The pair loads' shape: each lane's element and the next.
+            let pairs: Vec<u64> = addrs.iter().flat_map(|&a| [a, a + 4]).collect();
+            warps.push(addrs);
+            warps.push(pairs);
+        }
+        warps
+    }
+
+    #[test]
+    fn coalescer_matches_sort_and_dedup_and_feeds_l2_the_same_sequence() {
+        let mut rng = 0x5eed_u64;
+        let warps = warp_shapes(&mut rng);
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        let (mut fast_l2, mut slow_l2) = (L2Cache::new(16 << 10), L2Cache::new(16 << 10));
+        let mut sorted = 0;
+        for (w, addrs) in warps.iter().enumerate() {
+            coalesce_into(addrs.iter().copied(), &mut fast);
+            reference::coalesce_by_sort(addrs.iter().copied(), &mut slow);
+            assert_eq!(fast, slow, "warp {w}: {addrs:?}");
+            let hits = |l2: &mut L2Cache, s: &[u64]| -> Vec<bool> {
+                s.iter().map(|&s| l2.access_sector(s)).collect()
+            };
+            assert_eq!(hits(&mut fast_l2, &fast), hits(&mut slow_l2, &slow), "warp {w}");
+            sorted += addrs.windows(2).any(|p| p[1] / SECTOR_BYTES < p[0] / SECTOR_BYTES) as usize;
+        }
+        // Both branches ran: some warps descend, most do not.
+        assert!(sorted > 0 && sorted < warps.len() / 2, "{sorted} of {} sorted", warps.len());
     }
 }

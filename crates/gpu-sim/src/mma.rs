@@ -8,20 +8,31 @@
 use crate::fragment::{FragKind, Fragment, REGS_PER_LANE};
 use crate::half::F16;
 
-/// `wmma::mma_sync(d, a, b, c)`: `D = A × B + C`.
+/// `wmma::mma_sync(d, a, b, c)`: `D = A × B + C`, which is C copied into
+/// D followed by [`mma_accumulate`].
 ///
 /// Panics if the operand kinds are wrong, mirroring the type safety the
 /// WMMA C++ API enforces at compile time.
 pub fn mma_sync(d: &mut Fragment, a: &Fragment, b: &Fragment, c: &Fragment) {
+    assert_eq!(c.kind, FragKind::Accumulator, "c must be an Accumulator fragment");
+    d.regs = c.regs;
+    mma_accumulate(d, a, b);
+}
+
+/// `D = A × B + D`: the MMA with the accumulator updated in place, which
+/// is how every kernel chains its MMAs.
+///
+/// Panics if the operand kinds are wrong, as [`mma_sync`] does.
+pub fn mma_accumulate(d: &mut Fragment, a: &Fragment, b: &Fragment) {
     assert_eq!(a.kind, FragKind::MatrixA, "a must be a MatrixA fragment");
     assert_eq!(b.kind, FragKind::MatrixB, "b must be a MatrixB fragment");
-    assert_eq!(c.kind, FragKind::Accumulator, "c must be an Accumulator fragment");
     assert_eq!(d.kind, FragKind::Accumulator, "d must be an Accumulator fragment");
 
     // A and B register values were already rounded to f16 on write; the
     // products and the accumulation below are f32, matching tensor-core
-    // mixed precision. Every element of D is `c[r][n]` plus the products
-    // `a[r][k] * b[k][n]` added one at a time in ascending `k` (unfused).
+    // mixed precision. Every element of D is its incoming value C plus the
+    // products `a[r][k] * b[k][n]` added one at a time in ascending `k`
+    // (unfused).
     //
     // The work splits into the fragment's 8×8 portions: output portion
     // (i, j) adds the sub-products A(i, 0)·B(0, j), then A(i, 1)·B(1, j).
@@ -33,7 +44,7 @@ pub fn mma_sync(d: &mut Fragment, a: &Fragment, b: &Fragment, c: &Fragment) {
     // skipped add would leave a signalling NaN unquieted. Otherwise the
     // portion is computed in full. Spaden's two diagonal blocks leave six
     // of the eight sub-products all zero.
-    let keep = sub_products(a, b, c);
+    let keep = sub_products(a, b, d);
     let mut b_rows = [[[0.0f32; 8]; 8]; 4];
     let mut b_used = [false; 4];
     for (pd, keep) in keep.iter().flatten().enumerate() {
@@ -44,11 +55,10 @@ pub fn mma_sync(d: &mut Fragment, a: &Fragment, b: &Fragment, c: &Fragment) {
     for p in (0..4).filter(|&p| b_used[p]) {
         b_rows[p] = portion_rows(b, p);
     }
-    d.regs = c.regs;
     for (pd, keep) in keep.iter().flatten().enumerate() {
         let (i, j) = (pd / 2, pd % 2);
         if *keep == [false, false] {
-            continue; // D's portion is C's, already copied.
+            continue; // D's portion stays C's.
         }
         // Row `rr` of a row-layout portion `p` is registers `2p`, `2p + 1`
         // of lanes `4rr..4rr + 4`. Four rows at a time keep eight
@@ -284,6 +294,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn in_place_chain_matches_the_plain_triple_loop() {
+        // A chain of MMAs as the tensor-core kernels issue them, each
+        // accumulating into the last one's result in place. The portions
+        // of A and B are zero, finite or hold an inf, and C starts with
+        // −0.0, so the skip both fires and is refused along the chain.
+        let mut rng = 0xfeed_u64;
+        let mut portion = move |shape: u64| -> [f32; 64] {
+            std::array::from_fn(|_| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = rng >> 33;
+                match shape {
+                    0 => [0.0, -0.0][r as usize & 1],
+                    1 if r.is_multiple_of(61) => f32::INFINITY,
+                    _ => ((r >> 8) % 512) as f32 / 16.0 - 16.0,
+                }
+            })
+        };
+        let mut fragment = |kind: FragKind, shapes: [u64; 4]| {
+            let mut m = [0.0f32; 256];
+            for (p, shape) in shapes.into_iter().enumerate() {
+                for (i, v) in portion(shape).into_iter().enumerate() {
+                    m[(p / 2 * 8 + i / 8) * 16 + p % 2 * 8 + i % 8] = v;
+                }
+            }
+            let mut f = Fragment::new(kind);
+            f.load_matrix(&m);
+            f
+        };
+        let fold = |m: [f32; 256]| m.map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() });
+        let mut acc = Fragment::new(FragKind::Accumulator);
+        acc.fill(-0.0);
+        let mut want = acc.clone();
+        for step in 0..60u64 {
+            let shape = |k: u64| [0, 2, 2, 0, 1][((step * 7 + k * 3) % 5) as usize];
+            let a = fragment(FragKind::MatrixA, [shape(0), shape(1), shape(2), shape(3)]);
+            let b = fragment(FragKind::MatrixB, [shape(4), shape(5), shape(6), shape(7)]);
+            let c = want.clone();
+            want.load_matrix(&plain_mma(&a, &b, &c));
+            mma_accumulate(&mut acc, &a, &b);
+            assert_eq!(fold(acc.store_matrix()), fold(want.store_matrix()), "step {step}");
+        }
+    }
     #[test]
     fn negative_zero_accumulator_defeats_the_skip() {
         // A zero A portion against a positive B: every product is +0.0,
