@@ -101,14 +101,16 @@ impl CusparseCsrEngine {
 
         let mut acc = [0.0f32; WARP_SIZE];
         for s in 0..steps {
-            // Lane l serves row l / w, element s * w + l % w: consecutive
-            // lanes touch consecutive elements of the same row — coalesced.
+            // Lane row * w + k serves element s * w + k of its row:
+            // consecutive lanes touch consecutive elements of the same
+            // row — coalesced.
             let mut idx = [None; WARP_SIZE];
-            for l in 0..active_rows * w {
-                let row = l / w;
-                let e = ptrs[row] as usize + s * w + l % w;
-                if e < ptrs[row + 1] as usize {
-                    idx[l] = Some(e as u32);
+            for row in 0..active_rows {
+                let (start, end) = (ptrs[row] as usize + s * w, ptrs[row + 1] as usize);
+                for k in 0..w {
+                    if start + k < end {
+                        idx[row * w + k] = Some((start + k) as u32);
+                    }
                 }
             }
             let cols = ctx.gather(&self.d_col_idx, &idx);

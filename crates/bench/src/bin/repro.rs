@@ -266,9 +266,8 @@ fn main() {
         }
         "plan" => {
             // Certifies the plan layer: cost-model selection accuracy vs
-            // the exhaustive oracle on a fixed synthetic corpus, plus the
-            // memory-budgeted plan cache (budget sweep + repeat-hit
-            // check). CI's plan smoke job greps the PLAN verdict line.
+            // the exhaustive oracle on a fixed synthetic corpus. CI's
+            // plan step gates on the PLAN verdict line.
             let (tables, verdict, _) = spaden_bench::plan_report(&args.gpus);
             for t in tables {
                 println!("{t}");

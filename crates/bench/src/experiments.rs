@@ -4,11 +4,11 @@
 //! measuring, so regenerating a figure is also an end-to-end correctness
 //! check of the whole stack.
 
-use crate::registry::EngineKind;
 use crate::table::Table;
 use crate::{geomean, make_x, max_rel_error};
 use spaden::BitBsr;
 use spaden_gpusim::{Gpu, GpuConfig};
+use spaden_plan::EngineKind;
 use spaden_sparse::datasets::Dataset;
 use spaden_sparse::stats::block_profile;
 
@@ -98,7 +98,7 @@ pub fn run_sweep(config: GpuConfig, datasets: &[Dataset], kinds: &[EngineKind]) 
         let oracle = ds.csr.spmv_f64(&x).expect("oracle SpMV");
         let profile = block_profile(&ds.csr);
         for &kind in kinds {
-            let engine = match crate::registry::try_build_engine(kind, &gpu, &ds.csr) {
+            let engine = match spaden_plan::try_build_engine(kind, &gpu, &ds.csr) {
                 Ok(e) => e,
                 Err(e) => {
                     eprintln!("sweep: {} on {}: prepare failed: {e}", kind.name(), ds.spec.name);
@@ -779,7 +779,7 @@ fn mean_in_scope(sweep: &Sweep, engine: &str, f: impl Fn(&SweepCell) -> f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::FIG6_ENGINES;
+    use spaden_plan::FIG6_ENGINES;
     use crate::load_datasets;
 
     fn tiny_sweep() -> Sweep {

@@ -20,7 +20,6 @@ pub mod experiments;
 pub mod harness;
 pub mod planning;
 pub mod recover;
-pub mod registry;
 pub mod sanitize;
 pub mod serving;
 pub mod sharding;
@@ -35,7 +34,7 @@ pub use experiments::*;
 pub use harness::BenchGroup;
 pub use planning::{plan_corpus, plan_report, PlanReport};
 pub use recover::{recover_report, recover_report_json, run_recover, RecoverReport, RecoverScenario};
-pub use registry::{build_engine, EngineKind, FIG6_ENGINES, FIG8_ENGINES};
+pub use spaden_plan::{build_engine, EngineKind, FIG6_ENGINES, FIG8_ENGINES};
 pub use sanitize::{sanitize_report, SanitizeReport};
 pub use serving::{burst_schedule, serve_report, TC_ONLY_RATES, UNIFORM_RATES};
 pub use sharding::{device_schedules, shard_report};

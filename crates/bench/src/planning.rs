@@ -1,28 +1,24 @@
-//! The `repro plan` experiment: certifies the plan layer.
+//! The `repro plan` experiment: certifies the cost-model selector.
 //!
-//! Not a paper figure — it validates the two claims the planner stack
-//! makes on top of the paper's kernels:
+//! Not a paper figure — it validates the claim the plan layer makes on
+//! top of the paper's kernels: the closed-form cost model in
+//! `spaden_plan::cost` picks the engine an exhaustive oracle (actually
+//! running every candidate on the simulator) would pick, on a
+//! structurally diverse synthetic corpus. A selection counts as correct
+//! when the chosen engine is the oracle's best or within 5% of it (a
+//! simulator tie).
 //!
-//! 1. **Selection**: the closed-form cost model in `spaden_plan::cost`
-//!    picks the engine an exhaustive oracle (actually running every
-//!    candidate on the simulator) would pick, on a structurally diverse
-//!    synthetic corpus. A selection counts as correct when the chosen
-//!    engine is the oracle's best or within 5% of it (a simulator tie).
-//! 2. **Caching**: the memory-budgeted plan cache never holds more bytes
-//!    than its budget, and repeat requests for an already-planned matrix
-//!    hit the cache 100% of the time whenever the plan fit the budget.
-//!
-//! The verdict line (`PLAN OK` / `PLAN FAIL`) is what CI's plan smoke job
-//! greps for.
+//! The verdict line (`PLAN OK` / `PLAN FAIL`) is what CI's plan step
+//! gates on.
 
 use crate::verdict::Verdict;
-use crate::registry::try_build_engine;
 use crate::table::Table;
 use crate::make_x;
+use spaden::EngineError;
 use spaden_gpusim::{Gpu, GpuConfig};
-use spaden_plan::{EngineKind, Planner, ALL_ENGINES};
+use spaden_plan::{rank_engines, try_build_engine, EngineKind, MatrixStats, ALL_ENGINES};
 use spaden_sparse::gen::{self, FillDist, Placement};
-use spaden_sparse::Csr;
+use spaden_sparse::{fingerprint, Csr};
 
 /// Oracle-best tolerance: a choice whose measured time is within this
 /// factor of the fastest engine's counts as correct — for scheduling
@@ -31,7 +27,7 @@ use spaden_sparse::Csr;
 const TIE_FACTOR: f64 = 1.05;
 
 /// Selector accuracy the verdict gates on (fraction of cases where the
-/// planner picked the oracle-best engine, ties included).
+/// cost model picked the oracle-best engine, ties included).
 const ACCURACY_FLOOR: f64 = 0.70;
 
 /// One (matrix, GPU) selection case, fully measured.
@@ -40,7 +36,7 @@ pub struct PlanCase {
     pub matrix: String,
     /// GPU the case ran on.
     pub gpu: String,
-    /// Engine the planner selected.
+    /// Engine the cost model ranked first.
     pub choice: EngineKind,
     /// Engine the exhaustive oracle found fastest.
     pub oracle_best: EngineKind,
@@ -53,7 +49,7 @@ pub struct PlanCase {
 }
 
 impl PlanCase {
-    /// Slowdown of the planner's choice relative to the oracle best
+    /// Slowdown of the cost model's choice relative to the oracle best
     /// (1.0 = picked the fastest engine).
     pub fn regret(&self) -> f64 {
         self.actual_s / self.best_s
@@ -65,40 +61,20 @@ impl PlanCase {
     }
 }
 
-/// Cache behaviour at one memory budget.
-pub struct BudgetCell {
-    /// Byte budget the cache ran under.
-    pub budget: u64,
-    /// Counters after two full passes over the corpus.
-    pub stats: spaden_plan::CacheStats,
-    /// Bytes resident when the sweep finished.
-    pub bytes_resident: u64,
-    /// Largest `bytes_resident` observed after any plan call.
-    pub peak_bytes: u64,
-    /// Second-pass hit rate (repeat requests for every corpus matrix).
-    pub repeat_hit_rate: f64,
-}
-
 /// Everything `repro plan` measured, for programmatic checks.
 pub struct PlanReport {
     /// Every (matrix, GPU) selection case.
     pub cases: Vec<PlanCase>,
-    /// Budget sweep cells (one per budget, largest first).
-    pub budgets: Vec<BudgetCell>,
-    /// Fraction of cases where the planner matched the oracle.
+    /// Fraction of cases where the cost model matched the oracle.
     pub accuracy: f64,
     /// Geometric mean of `actual / best` across cases.
     pub geomean_regret: f64,
-    /// Whether every budget kept `peak_bytes <= budget`.
-    pub budgets_respected: bool,
-    /// Whether the unconstrained-budget repeat pass hit 100%.
-    pub repeats_all_hit: bool,
 }
 
 impl PlanReport {
     /// The verdict CI gates on.
     pub fn ok(&self) -> bool {
-        self.accuracy >= ACCURACY_FLOOR && self.budgets_respected && self.repeats_all_hit
+        self.accuracy >= ACCURACY_FLOOR
     }
 }
 
@@ -164,12 +140,19 @@ pub fn plan_corpus() -> Vec<(String, Csr)> {
 }
 
 /// Runs every candidate engine on `csr` and returns measured seconds per
-/// kind (skipping engines that refuse the matrix).
-fn oracle_times(gpu: &Gpu, csr: &Csr, x: &[f32]) -> Vec<(EngineKind, f64)> {
+/// kind, skipping engines that refuse the matrix — unless the refusing
+/// engine is the cost model's `choice`, whose build error is returned.
+fn oracle_times(
+    gpu: &Gpu,
+    csr: &Csr,
+    x: &[f32],
+    choice: EngineKind,
+) -> Result<Vec<(EngineKind, f64)>, EngineError> {
     let mut out = Vec::new();
     for &kind in ALL_ENGINES.iter() {
         let engine = match try_build_engine(kind, gpu, csr) {
             Ok(e) => e,
+            Err(e) if kind == choice => return Err(e),
             Err(_) => continue,
         };
         match engine.try_run(gpu, x) {
@@ -177,11 +160,11 @@ fn oracle_times(gpu: &Gpu, csr: &Csr, x: &[f32]) -> Vec<(EngineKind, f64)> {
             Err(_) => continue,
         }
     }
-    out
+    Ok(out)
 }
 
-/// Runs the selection study and the cache budget sweep, renders the
-/// tables, and returns the verdict line.
+/// Runs the selection study, renders the tables, and returns the verdict
+/// line.
 pub fn plan_report(gpus: &[GpuConfig]) -> (Vec<Table>, Verdict, PlanReport) {
     let corpus = plan_corpus();
 
@@ -199,22 +182,23 @@ pub fn plan_report(gpus: &[GpuConfig]) -> (Vec<Table>, Verdict, PlanReport) {
         let gpu = Gpu::new(cfg.clone());
         for (name, csr) in &corpus {
             let x = make_x(csr.ncols);
-            let mut planner = Planner::with_all_engines(u64::MAX);
-            let plan = match planner.plan(&gpu, csr) {
-                Ok(p) => p,
+            let stats = MatrixStats::from_fingerprint(&fingerprint(csr));
+            let ranking = rank_engines(&stats, &gpu.config, &ALL_ENGINES);
+            let choice = ranking[0].kind;
+            let times = match oracle_times(&gpu, csr, &x, choice) {
+                Ok(t) => t,
                 Err(e) => {
                     eprintln!("plan: {name} on {}: {e}", cfg.name);
                     continue;
                 }
             };
-            let times = oracle_times(&gpu, csr, &x);
             let Some(&(oracle_best, best_s)) = times.iter().min_by(|a, b| a.1.total_cmp(&b.1))
             else {
                 eprintln!("plan: {name} on {}: no engine ran", cfg.name);
                 continue;
             };
             for (kind, actual) in &times {
-                if let Some(r) = plan.ranking.iter().find(|r| r.kind == *kind) {
+                if let Some(r) = ranking.iter().find(|r| r.kind == *kind) {
                     let bucket =
                         &mut ratios_by_kind.iter_mut().find(|(k, _)| k == kind).unwrap().1;
                     bucket.push(r.predicted.seconds / actual);
@@ -222,15 +206,15 @@ pub fn plan_report(gpus: &[GpuConfig]) -> (Vec<Table>, Verdict, PlanReport) {
             }
             let actual_s = times
                 .iter()
-                .find(|(k, _)| *k == plan.choice)
+                .find(|(k, _)| *k == choice)
                 .map(|(_, s)| *s)
                 .unwrap_or(f64::INFINITY);
             let case = PlanCase {
                 matrix: name.clone(),
                 gpu: cfg.name.to_string(),
-                choice: plan.choice,
+                choice,
                 oracle_best,
-                predicted_s: plan.predicted_seconds(),
+                predicted_s: ranking[0].predicted.seconds,
                 actual_s,
                 best_s,
             };
@@ -276,87 +260,10 @@ pub fn plan_report(gpus: &[GpuConfig]) -> (Vec<Table>, Verdict, PlanReport) {
         ]);
     }
 
-    // ---- Cache behaviour under a memory-budget sweep -------------------
-    // Budgets derive from what the corpus actually pins: everything fits /
-    // roughly half fits / only a couple of plans fit.
-    let gpu = Gpu::new(gpus.first().cloned().unwrap_or_else(GpuConfig::l40));
-    let mut total_bytes = 0u64;
-    {
-        let mut sizer = Planner::with_all_engines(u64::MAX);
-        for (_, csr) in &corpus {
-            if let Ok(p) = sizer.plan(&gpu, csr) {
-                total_bytes += p.device_bytes();
-            }
-        }
-    }
-    let budgets = [total_bytes.max(1), (total_bytes / 2).max(1), (total_bytes / 8).max(1)];
-
-    let mut budget_table = Table::new(
-        format!("Plan cache under memory budgets ({})", gpu.config.name),
-        &[
-            "budget B", "resident B", "peak B", "plans", "hits", "misses", "evict", "uncache",
-            "repeat hit%",
-        ],
-    );
-    let mut budget_cells = Vec::new();
-    for &budget in &budgets {
-        let mut planner = Planner::with_all_engines(budget);
-        let mut peak = 0u64;
-        // Pass 1: populate. Pass 2: every request is a repeat.
-        let mut repeat_hits = 0usize;
-        let mut repeats = 0usize;
-        for pass in 0..2 {
-            for (_, csr) in &corpus {
-                if let Ok((_, src)) = planner.plan_traced(&gpu, csr) {
-                    if pass == 1 {
-                        repeats += 1;
-                        if src == spaden_plan::PlanSource::CacheHit {
-                            repeat_hits += 1;
-                        }
-                    }
-                }
-                peak = peak.max(planner.bytes_resident());
-            }
-        }
-        let stats = planner.cache_stats();
-        let repeat_hit_rate = repeat_hits as f64 / repeats.max(1) as f64;
-        budget_table.push_row(vec![
-            budget.to_string(),
-            planner.bytes_resident().to_string(),
-            peak.to_string(),
-            planner.plans_resident().to_string(),
-            stats.hits.to_string(),
-            stats.misses.to_string(),
-            stats.evictions.to_string(),
-            stats.uncacheable.to_string(),
-            format!("{:.0}", repeat_hit_rate * 100.0),
-        ]);
-        budget_cells.push(BudgetCell {
-            budget,
-            stats,
-            bytes_resident: planner.bytes_resident(),
-            peak_bytes: peak,
-            repeat_hit_rate,
-        });
-    }
-
-    let budgets_respected = budget_cells.iter().all(|c| c.peak_bytes <= c.budget);
-    // Only the unconstrained budget (everything fits) must repeat at 100%;
-    // tighter budgets legitimately evict.
-    let repeats_all_hit =
-        budget_cells.first().map(|c| c.repeat_hit_rate >= 1.0).unwrap_or(false);
-
-    let report = PlanReport {
-        accuracy,
-        geomean_regret,
-        budgets_respected,
-        repeats_all_hit,
-        cases,
-        budgets: budget_cells,
-    };
+    let report = PlanReport { accuracy, geomean_regret, cases };
     let verdict = Verdict::new(report.ok(), format!(
         "PLAN {}: selector matched oracle on {}/{} cases ({:.0}%, floor {:.0}%; {} exact top-1), \
-         geomean regret {:.3}x, budgets respected: {}, repeat hit rate at full budget: {}",
+         geomean regret {:.3}x",
         if report.ok() { "OK" } else { "FAIL" },
         hits,
         report.cases.len(),
@@ -364,10 +271,8 @@ pub fn plan_report(gpus: &[GpuConfig]) -> (Vec<Table>, Verdict, PlanReport) {
         ACCURACY_FLOOR * 100.0,
         exact,
         geomean_regret,
-        if budgets_respected { "yes" } else { "NO" },
-        if repeats_all_hit { "100%" } else { "NOT 100%" },
     ));
-    (vec![scatter, model, budget_table], verdict, report)
+    (vec![scatter, model], verdict, report)
 }
 
 #[cfg(test)]
@@ -376,10 +281,8 @@ mod tests {
 
     #[test]
     fn plan_report_holds_on_l40() {
-        let (tables, verdict, report) = plan_report(&[GpuConfig::l40()]);
-        assert_eq!(tables.len(), 3);
-        assert!(report.budgets_respected, "{verdict}");
-        assert!(report.repeats_all_hit, "{verdict}");
+        let (tables, verdict, _) = plan_report(&[GpuConfig::l40()]);
+        assert_eq!(tables.len(), 2);
         assert!(verdict.pass, "{verdict}");
         assert!(verdict.line.starts_with("PLAN OK"), "{verdict}");
     }

@@ -22,10 +22,10 @@
 //! greps for.
 
 use crate::verdict::Verdict;
-use crate::registry::{try_build_engine, ALL_ENGINES};
 use crate::table::Table;
 use crate::make_x;
 use spaden_gpusim::{FaultConfig, Gpu, GpuConfig, HazardKind, SanConfig, SanReport};
+use spaden_plan::{try_build_engine, ALL_ENGINES};
 use spaden_serve::{Request, Rung, ServeConfig, SpmvServer};
 use spaden_sparse::gen::{self, FillDist, Placement};
 use spaden_sparse::Csr;

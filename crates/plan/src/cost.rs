@@ -27,8 +27,8 @@ use spaden_sparse::MatrixFingerprint;
 const BLOCK_DIM: usize = 8;
 
 /// Structural statistics the cost model consumes — exactly the selector
-/// inputs a [`MatrixFingerprint`] carries, so a plan can be priced from
-/// the fingerprint without re-walking the matrix.
+/// inputs a [`MatrixFingerprint`] carries, so a matrix can be priced
+/// from its fingerprint without re-walking it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatrixStats {
     /// Matrix rows.
@@ -407,7 +407,7 @@ pub fn predict_spmm_time(stats: &MatrixStats, k: usize, config: &GpuConfig) -> S
 /// Smallest batch width `w ∈ 2..=max_width` at which one SpMM sweep is
 /// predicted cheaper than `w` independent Spaden SpMV launches, or `None`
 /// if batching never wins within the cap. This is the per-batch
-/// SpMV-vs-SpMM crossover the serving layer caches alongside its plans.
+/// SpMV-vs-SpMM crossover the serving layer stores in each snapshot.
 pub fn spmm_crossover(stats: &MatrixStats, config: &GpuConfig, max_width: usize) -> Option<usize> {
     let spmv = predict_time(EngineKind::Spaden, stats, config).seconds;
     (2..=max_width).find(|&w| predict_spmm_time(stats, w, config).seconds < w as f64 * spmv)

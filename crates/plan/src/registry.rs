@@ -1,8 +1,7 @@
 //! Engine registry: uniform construction of every SpMV method.
 //!
-//! Moved here from `spaden-bench` so the planner, the serving layer, and
-//! the bench harness all share one catalog (bench re-exports it for
-//! backwards compatibility).
+//! The cost model, the serving layer and the bench harness all share
+//! this one catalog.
 
 use spaden::{CsrWarp16Engine, EngineError, SpadenEngine, SpadenNoTcEngine, SpmvEngine};
 use spaden_baselines::{

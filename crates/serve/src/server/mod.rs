@@ -111,8 +111,8 @@ struct PreparedMatrix {
     /// Failed attempts are charged this much; deadline admission checks
     /// it against the remaining budget.
     est_cost_s: [f64; RUNGS],
-    /// Planner-ordered single-device rungs for this matrix (the sharded
-    /// rung, when configured, always goes first).
+    /// Single-device rungs for this matrix, ordered by `est_cost_s` (the
+    /// sharded rung, when configured, always goes first).
     ladder: [Rung; 3],
     /// Epoch this snapshot serves (0 = as registered).
     epoch: u64,
@@ -292,7 +292,7 @@ impl SpmvServer {
         self.matrices.get(h.0).map(|e| e.current.ncols)
     }
 
-    /// The planner-ordered single-device ladder for a registered matrix
+    /// The cost-ordered single-device ladder for a registered matrix
     /// (the sharded rung, when configured, always precedes these).
     pub fn ladder(&self, h: MatrixHandle) -> Option<[Rung; 3]> {
         self.matrices.get(h.0).map(|e| e.current.ladder)

@@ -1,11 +1,20 @@
 //! Deterministic structural matrix fingerprinting.
 //!
-//! The plan layer ("prepare once, execute many") keys its caches on a
-//! fingerprint of the matrix rather than on object identity, so two
-//! requests carrying the *same* matrix — re-parsed from the same `.mtx`
-//! file, regenerated from the same spec, or registered twice with a
-//! server — share one prepared plan. The fingerprint is a pure function
-//! of the matrix content: dimensions, nonzero structure, the 8×8 block
+//! A fingerprint identifies a matrix by content rather than by object
+//! identity, so the *same* matrix — re-parsed from the same `.mtx` file,
+//! regenerated from the same spec, or recovered from a write-ahead log —
+//! fingerprints identically. Three consumers rely on that:
+//!
+//! * the store's snapshot identity check records the fingerprint key at
+//!   snapshot time and refuses a restore whose matrix hashes differently;
+//! * `Server::fingerprint_of` reports a served matrix's head-epoch
+//!   fingerprint, which `repro recover` and the chaos oracle compare
+//!   against the truth chain;
+//! * the cost model's `MatrixStats` reads the block profile and degree
+//!   statistics carried here, so engines are priced without re-walking
+//!   the matrix.
+//!
+//! The fingerprint is a pure function of the matrix content: dimensions, nonzero structure, the 8×8 block
 //! profile of Section 5.4 (which also feeds the cost-model selector),
 //! a row-length histogram digest, and digests of the index and value
 //! arrays. No wall-clock, RNG, allocation address, or hash-seed input
@@ -14,8 +23,8 @@
 //!
 //! Values are digested by bit pattern (`f32::to_bits`), so matrices that
 //! differ only in value bits (including `-0.0` vs `0.0` or NaN payloads)
-//! fingerprint differently — a cached plan's output must be bit-identical
-//! to a fresh preparation, which only holds when values match exactly.
+//! fingerprint differently — a restored or recovered matrix must match
+//! its recorded value bits exactly, not merely approximately.
 
 use crate::csr::Csr;
 use crate::stats::{block_profile, degree_histogram, BlockProfile};
@@ -26,9 +35,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a 64-bit hasher, the repository's one implementation:
-/// fingerprints, plan-cache keys, dataset streams and the determinism
-/// digests of the traffic and chaos layers all hash through it. Words
-/// are fed little-endian. FNV is chosen for determinism and zero
+/// fingerprints, dataset streams and the determinism digests of the
+/// traffic and chaos layers all hash through it. Words are fed
+/// little-endian. FNV is chosen for determinism and zero
 /// dependencies, not collision resistance; the fingerprint combines four
 /// independent digests plus the raw dimensions, so an accidental
 /// collision must align across all of them at once.
@@ -77,8 +86,8 @@ impl Fnv {
 /// Deterministic structural fingerprint of one matrix.
 ///
 /// Besides the digests, it carries the structural statistics the
-/// cost-model selector consumes ([`BlockProfile`], mean/max degree), so a
-/// planner can rank engines from the fingerprint alone without re-walking
+/// cost-model selector consumes ([`BlockProfile`], mean/max degree), so
+/// engines can be ranked from the fingerprint alone without re-walking
 /// the matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatrixFingerprint {
@@ -101,7 +110,7 @@ pub struct MatrixFingerprint {
 }
 
 impl MatrixFingerprint {
-    /// Collapses the fingerprint to one 64-bit cache key. Dimensions and
+    /// Collapses the fingerprint to one 64-bit identity key. Dimensions and
     /// all three digests are folded in, so any difference in shape,
     /// pattern, or values changes the key.
     pub fn key(&self) -> u64 {

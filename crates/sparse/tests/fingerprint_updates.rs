@@ -1,7 +1,9 @@
 //! Property tests for `sparse::fingerprint` under streaming updates: the
-//! digest-granularity contract the plan-cache invalidation logic relies
-//! on (value-only delta ⇒ structure digest unchanged; structural delta ⇒
-//! both digests change; commuting batches ⇒ order-independent result).
+//! digest-granularity contract (value-only delta ⇒ structure digest
+//! unchanged; structural delta ⇒ both digests change; commuting batches
+//! ⇒ order-independent result). The store's snapshot identity check,
+//! `Server::fingerprint_of` after each committed epoch, and the cost
+//! model's `MatrixStats` all read fingerprints of updated matrices.
 
 use spaden_sparse::delta::{apply_to_csr, classify, Delta, DeltaBatch, DeltaClass};
 use spaden_sparse::{fingerprint, gen, Csr, Pcg64};

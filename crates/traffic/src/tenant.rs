@@ -8,8 +8,9 @@
 //! * **Tenant weight** is Zipf — a few tenants dominate the request
 //!   stream, as in any real multi-tenant service.
 //! * **Matrix popularity** is Zipf over a fingerprint universe of
-//!   thousands, independent of tenant — the hot head keeps plan/partition
-//!   caches warm while the long tail churns them.
+//!   thousands, independent of tenant — the hot head concentrates
+//!   same-matrix traffic (what the batching window coalesces) while the
+//!   long tail spreads load across the registered corpus.
 //! * **Priority** is a per-tenant *tier* fixed at construction (paying
 //!   tenants stay `High` for every request), so brownout decisions map to
 //!   a stable set of tenants rather than flickering per request.

@@ -5,7 +5,7 @@
 
 use spaden::gpusim::{Gpu, GpuConfig};
 use spaden::{EngineError, SpadenEngine};
-use spaden_bench::{registry, EngineKind};
+use spaden_plan::{try_build_engine, EngineKind};
 use spaden_sparse::csr::Csr;
 use spaden_sparse::gen;
 
@@ -55,7 +55,7 @@ fn degenerate_matrices_build_and_run_everywhere() {
     for (label, csr, x) in &cases {
         let oracle = csr.spmv_f64(x).unwrap();
         for kind in ALL_KINDS {
-            let eng = registry::try_build_engine(kind, &gpu, csr)
+            let eng = try_build_engine(kind, &gpu, csr)
                 .unwrap_or_else(|e| panic!("{label}/{}: build failed: {e}", kind.name()));
             let run = eng
                 .try_run(&gpu, x)
@@ -93,7 +93,7 @@ fn x_length_mismatch_is_typed_on_plain_and_checked_paths() {
     let gpu = Gpu::new(GpuConfig::l40());
     let csr = gen::random_uniform(64, 48, 700, 33);
     for kind in ALL_KINDS {
-        let eng = registry::try_build_engine(kind, &gpu, &csr).unwrap();
+        let eng = try_build_engine(kind, &gpu, &csr).unwrap();
         for bad_len in [0usize, 47, 49] {
             match eng.try_run(&gpu, &vec![1.0; bad_len]) {
                 Err(EngineError::ShapeMismatch { expected: 48, got }) => {

@@ -1,101 +1,13 @@
-//! Plan-cache integration properties (root-level, across crates):
+//! Fingerprint stability across `.mtx` reparses (root-level, across
+//! crates). The file keeps its old name from when it also covered the
+//! plan cache; only the fingerprint property outlived that cache.
 //!
-//! 1. The memory-budgeted cache never holds more device bytes than its
-//!    budget, no matter the insertion/lookup sequence.
-//! 2. A plan served from the cache executes bit-identically to a fresh
-//!    prepare of the same engine kind — caching must never change the
-//!    numerics.
-//! 3. Fingerprints are a pure function of matrix content: re-parsing the
-//!    same `.mtx` file twice yields identical fingerprints, so the parses
-//!    share one plan.
+//! Fingerprints are a pure function of matrix content: re-parsing the
+//! same `.mtx` file twice yields identical fingerprints, and the sparsity
+//! pattern survives serialization, so the store's snapshot identity check
+//! and `repro recover` see one matrix, not two.
 
-use spaden_gpusim::{Gpu, GpuConfig};
-use spaden_plan::{try_build_engine, PlanSource, Planner};
-use spaden_sparse::{fingerprint, gen, mtx, Csr};
-
-fn make_x(n: usize) -> Vec<f32> {
-    (0..n).map(|i| ((i * 37 + 11) % 64) as f32 / 32.0 - 1.0).collect()
-}
-
-/// A workload of distinct matrices spanning a range of plan sizes.
-fn workload() -> Vec<Csr> {
-    let mut out = Vec::new();
-    for i in 0..12u64 {
-        let n = 64 + 32 * (i as usize % 5);
-        let nnz = 400 + 260 * (i as usize);
-        out.push(gen::random_uniform(n, n, nnz.min(n * n / 2), 500 + i));
-    }
-    out
-}
-
-#[test]
-fn eviction_never_exceeds_byte_budget() {
-    let gpu = Gpu::new(GpuConfig::l40());
-    let matrices = workload();
-
-    // Sizing pass: learn each plan's footprint with an unbounded cache.
-    let mut sizer = Planner::with_all_engines(u64::MAX);
-    let sizes: Vec<u64> = matrices
-        .iter()
-        .map(|m| sizer.plan(&gpu, m).unwrap().device_bytes())
-        .collect();
-    let total: u64 = sizes.iter().sum();
-    let largest = *sizes.iter().max().unwrap();
-
-    // Budgets spanning no-eviction, heavy-eviction, and mostly-uncacheable.
-    for budget in [total, largest + largest / 2, largest / 2] {
-        let mut planner = Planner::with_all_engines(budget);
-        // Two passes with an access pattern that mixes fresh inserts and
-        // re-lookups; the invariant must hold after every single call.
-        for pass in 0..2 {
-            for (i, m) in matrices.iter().enumerate() {
-                planner.plan(&gpu, m).unwrap();
-                assert!(
-                    planner.bytes_resident() <= budget,
-                    "pass {pass} matrix {i}: {} resident > budget {budget}",
-                    planner.bytes_resident()
-                );
-                // Re-touch an earlier matrix to shuffle recency.
-                if i >= 3 {
-                    planner.plan(&gpu, &matrices[i / 2]).unwrap();
-                    assert!(planner.bytes_resident() <= budget);
-                }
-            }
-        }
-        let s = planner.cache_stats();
-        assert_eq!(s.hits + s.misses, 2 * (matrices.len() as u64 + 9));
-        if budget < total {
-            assert!(
-                s.evictions + s.uncacheable > 0,
-                "budget {budget} < total {total} must force evictions or rejections"
-            );
-        } else {
-            assert_eq!(s.evictions, 0, "full budget must never evict");
-        }
-    }
-}
-
-#[test]
-fn cached_plan_runs_bit_identical_to_fresh_prepare() {
-    let gpu = Gpu::new(GpuConfig::l40());
-    let mut planner = Planner::with_all_engines(1 << 30);
-    for (i, csr) in workload().into_iter().enumerate().step_by(3) {
-        planner.plan(&gpu, &csr).unwrap();
-        let (plan, src) = planner.plan_traced(&gpu, &csr).unwrap();
-        assert_eq!(src, PlanSource::CacheHit, "matrix {i}");
-
-        let x = make_x(csr.ncols);
-        let cached = plan.engine.try_run(&gpu, &x).unwrap();
-        let fresh_engine = try_build_engine(plan.choice, &gpu, &csr).unwrap();
-        let fresh = fresh_engine.try_run(&gpu, &x).unwrap();
-        assert_eq!(
-            cached.y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            fresh.y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "matrix {i}: cached {:?} plan diverged from fresh prepare",
-            plan.choice
-        );
-    }
-}
+use spaden_sparse::{fingerprint, gen, mtx};
 
 #[test]
 fn fingerprints_stable_across_mtx_reparses() {
@@ -118,14 +30,6 @@ fn fingerprints_stable_across_mtx_reparses() {
     assert_eq!(fa.structure_digest, fo.structure_digest);
     assert_eq!(fa.degree_digest, fo.degree_digest);
     assert_eq!((fa.nrows, fa.ncols, fa.nnz), (fo.nrows, fo.ncols, fo.nnz));
-
-    // And the two parses therefore share one cached plan.
-    let gpu = Gpu::new(GpuConfig::l40());
-    let mut planner = Planner::with_all_engines(1 << 30);
-    let (_, s1) = planner.plan_traced(&gpu, &a).unwrap();
-    let (_, s2) = planner.plan_traced(&gpu, &b).unwrap();
-    assert_eq!(s1, PlanSource::Prepared);
-    assert_eq!(s2, PlanSource::CacheHit, "reparse must hit the plan cache");
 
     std::fs::remove_file(&path).ok();
 }
