@@ -242,7 +242,9 @@ fn main() {
         g.bench("gunrock_atomic_heavy", || eng.run(&gpu, std::hint::black_box(&x)));
     }
     // One ABFT-checked Spaden SpMV on a served-size matrix (96x96, ~1.2k
-    // nonzeros), which is one launch plus verification.
+    // nonzeros), which is what a served request pays: after the first
+    // launch, a replay of its counters, the host SpMV and verification.
+    // Then the same launch always simulated, the simulator's host cost.
     let small = spaden_sparse::gen::random_uniform(96, 96, 1300, 3);
     let x: Vec<f32> = (0..96).map(|i| (i % 7) as f32 * 0.25).collect();
     let g = BenchGroup::new("spaden");
@@ -250,6 +252,7 @@ fn main() {
         let gpu = Gpu::new(GpuConfig::l40());
         let eng = SpadenEngine::prepare(&gpu, &small);
         g.bench("run_checked_96x96", || eng.run_checked(&gpu, std::hint::black_box(&x)));
+        g.bench("simulate_96x96", || eng.run_simulated(&gpu, std::hint::black_box(&x)));
     }
 
     // Reference CSR SpMV serial vs row-parallel on the pool.

@@ -213,8 +213,23 @@ impl BitBsr {
         coo.to_csr()
     }
 
-    /// Reference SpMV over the decoded blocks (the correctness oracle the
-    /// simulated kernels are tested against).
+    /// Host SpMV in the tensor-core kernel's order (Algorithms 3–4): each
+    /// row has one f32 accumulator, starting at +0.0 and chained across its
+    /// block-row's blocks in block order. Within a block the set bits are
+    /// visited in ascending order, and each adds `a * round_f16(x[c])`
+    /// unfused.
+    ///
+    /// When every value and every f16-rounded `x[c]` is finite this equals
+    /// the simulated Spaden kernel's `y` bit for bit (both packings, either
+    /// fragment path), which is what lets `SpadenEngine` replay a launch:
+    /// - the accumulator starts at +0.0, and a sum is −0.0 only when both
+    ///   terms are, so it never becomes −0.0;
+    /// - every product the kernel adds and this loop skips (clear bits,
+    ///   the fragment's zero portions, an exhausted row against stale `x`,
+    ///   columns past `ncols` read as zero) is ±0 times a finite value, and
+    ///   `acc + ±0 == acc` when `acc` is not −0.0;
+    /// - every other product is the same f32 multiply of two f16 values,
+    ///   added in the same order.
     pub fn spmv_reference(&self, x: &[f32]) -> SparseResult<Vec<f32>> {
         if x.len() != self.ncols {
             return Err(SparseError::ShapeMismatch {
@@ -225,24 +240,23 @@ impl BitBsr {
         for br in 0..self.block_rows {
             let lo = self.block_row_ptr[br] as usize;
             let hi = self.block_row_ptr[br + 1] as usize;
+            let mut acc = [0.0f32; BLOCK_DIM];
             for k in lo..hi {
-                let bc = self.block_cols[k] as usize;
-                let dense = self.decode_block(k);
-                for dr in 0..BLOCK_DIM {
-                    let r = br * BLOCK_DIM + dr;
-                    if r >= self.nrows {
-                        break;
+                let c0 = self.block_cols[k] as usize * BLOCK_DIM;
+                let mut v = self.block_offsets[k] as usize;
+                let mut bits = self.bitmaps[k];
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let c = c0 + bit % BLOCK_DIM;
+                    if c < self.ncols {
+                        acc[bit / BLOCK_DIM] += self.values[v].to_f32() * F16::round_f32(x[c]);
                     }
-                    let mut acc = 0.0f32;
-                    for dc in 0..BLOCK_DIM {
-                        let c = bc * BLOCK_DIM + dc;
-                        if c < self.ncols {
-                            acc += dense[dr * BLOCK_DIM + dc]
-                                * F16::round_f32(x[c]);
-                        }
-                    }
-                    y[r] += acc;
+                    v += 1;
                 }
+            }
+            for (out, a) in y.iter_mut().skip(br * BLOCK_DIM).zip(acc) {
+                *out = a;
             }
         }
         Ok(y)

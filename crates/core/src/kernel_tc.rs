@@ -12,6 +12,10 @@
 //! After the block loop, Algorithm 4 extracts the first column of each
 //! diagonal portion (accumulator registers `x[0]` and `x[6]`, lanes with
 //! `lid % 4 == 0`) into the output vector.
+//!
+//! A clean launch's counters depend only on the engine's structure, so
+//! the engine simulates one and replays it later (see
+//! [`SpadenEngine::replayable`]).
 
 use crate::abft::AbftChecksums;
 use crate::bitbsr::BitBsr;
@@ -24,10 +28,11 @@ use crate::kernel_cuda::CUDA_BLOCK_PRODUCT_CYCLES;
 use spaden_gpusim::exec::{WarpCtx, WARP_SIZE};
 use spaden_gpusim::fragment::{FragKind, Fragment};
 use spaden_gpusim::half::{ConvertHazard, F16};
-use spaden_gpusim::memory::DeviceBuffer;
-use spaden_gpusim::{Gpu, KernelCounters};
+use spaden_gpusim::memory::{DeviceBuffer, DeviceOutput};
+use spaden_gpusim::{Gpu, GpuConfig, KernelCounters};
 use spaden_sparse::csr::Csr;
 use spaden_sparse::gen::BLOCK_DIM;
+use std::sync::Mutex;
 
 /// Upper bound on ABFT verify → scalar-recompute rounds before
 /// [`SpadenEngine::try_run_checked`] gives up with
@@ -102,6 +107,10 @@ pub struct SpadenEngine {
     /// them as [`EngineError::NumericalHazard`] — the loss already
     /// happened, so serving from this format would return poisoned output.
     prep_hazards: (usize, usize, usize),
+    /// Every stored f16 value is finite (a replay precondition).
+    values_finite: bool,
+    /// One clean, placement-free launch: its config and its counters.
+    memo: Mutex<Option<(GpuConfig, KernelCounters)>>,
 }
 
 /// Counts f16 conversion hazards over the source values (prepare-time
@@ -197,6 +206,7 @@ impl SpadenEngine {
         format.validate().map_err(|e| EngineError::Validation(e.to_string()))?;
         check_index_headroom(format.nnz(), format.bnnz())?;
         let prep = PrepStats { seconds: prep_seconds, device_bytes: format.bytes() as u64 };
+        let values_finite = format.values.iter().all(|v| v.is_finite());
         Ok(SpadenEngine {
             d_block_row_ptr: gpu.alloc(format.block_row_ptr.clone()),
             d_block_cols: gpu.alloc(format.block_cols.clone()),
@@ -208,6 +218,8 @@ impl SpadenEngine {
             config,
             abft,
             prep_hazards,
+            values_finite,
+            memo: Mutex::new(None),
         })
     }
 
@@ -303,12 +315,31 @@ impl SpmvEngine for SpadenEngine {
         self.format.ncols
     }
 
+    /// Replays the engine's memo when [`SpadenEngine::replayable`] holds
+    /// and `x` and `y` land clear of the format; otherwise simulates the
+    /// launch and, when it was clean, finite, clear and placement-free,
+    /// records it as the memo.
     fn run(&self, gpu: &Gpu, x: &[f32]) -> SpmvRun {
         assert_eq!(x.len(), self.format.ncols, "x length mismatch");
-        match self.config.packing {
-            Packing::Diagonal => self.run_paired(gpu, x),
-            Packing::Single => self.run_single(gpu, x),
+        let safe = self.replay_safe(gpu, x);
+        let memo = if safe { self.memo_for(&gpu.config) } else { None };
+        let d_x = gpu.alloc(x.to_vec());
+        let y = gpu.alloc_output(self.format.nrows);
+        let clear = self.clear_of_format(d_x.base(), d_x.bytes())
+            && self.clear_of_format(y.base(), y.len() as u64 * 4);
+        if let (Some(counters), true) = (memo, clear) {
+            let y = self.format.spmv_reference(x).expect("x length checked above");
+            return SpmvRun::new(y, counters, gpu);
         }
+        let counters = self.launch(gpu, &d_x, &y);
+        let [a, b, c, d, e] = self.format_buffers().map(|(_, bytes)| bytes);
+        let touched = [a, b, c, d, e, d_x.bytes(), y.len() as u64 * 4];
+        if safe && clear && gpu.l2_placement_free(&touched) {
+            if let Ok(mut memo) = self.memo.lock() {
+                *memo = Some((gpu.config.clone(), counters));
+            }
+        }
+        SpmvRun::new(y.to_vec(), counters, gpu)
     }
 
     fn run_checked(&self, gpu: &Gpu, x: &[f32]) -> Result<SpmvRun, EngineError> {
@@ -444,15 +475,99 @@ impl SpadenEngine {
 }
 
 impl SpadenEngine {
-    /// The paper's kernel: two block-rows per warp, diagonal packing.
-    fn run_paired(&self, gpu: &Gpu, x: &[f32]) -> SpmvRun {
+    /// True when the next [`SpmvEngine::run`] of `x` on `gpu` replays the
+    /// engine's memo instead of simulating, provided that launch's `x` and
+    /// `y` land clear of the format's buffers. All of these must hold:
+    /// - *clean*: neither fault injection nor SimSan is on, since both
+    ///   draw or report per launch;
+    /// - *same config*: the memo was simulated under a `GpuConfig` equal
+    ///   to `gpu.config`;
+    /// - *finite*: every stored value and every f16-rounded `x[i]` is
+    ///   finite. Otherwise the kernel adds `0 · inf = NaN` products,
+    ///   including those of an exhausted row against its stale `x` portion,
+    ///   which the host SpMV does not;
+    /// - *placement-free*: checked when the memo is recorded, by
+    ///   [`Gpu::l2_placement_free`] over the seven buffers the kernel
+    ///   reads or writes (five format arrays, `x` and `y`). Then no L2 set
+    ///   overflows wherever the bump allocator puts `x` and `y`, so every
+    ///   counter is the memo's.
+    ///
+    /// `run` allocates `x` and `y` before it decides, so a replay advances
+    /// the allocator as a simulated launch does, and later launches of
+    /// other engines on `gpu` see the same placement. It simulates when
+    /// either lands on the format's addresses, which only an engine run on
+    /// another `Gpu` than the one that prepared it can see (sharded
+    /// serving does), and it records only launches that landed clear. A
+    /// replay computes `y` with
+    /// [`BitBsr::spmv_reference`], which equals the kernel's `y` bit for
+    /// bit on finite input (see its doc comment).
+    pub fn replayable(&self, gpu: &Gpu, x: &[f32]) -> bool {
+        self.replay_safe(gpu, x) && self.memo_for(&gpu.config).is_some()
+    }
+
+    /// [`SpmvEngine::run`] without the memo: always simulates the launch
+    /// and never records it.
+    pub fn run_simulated(&self, gpu: &Gpu, x: &[f32]) -> SpmvRun {
+        assert_eq!(x.len(), self.format.ncols, "x length mismatch");
         let d_x = gpu.alloc(x.to_vec());
         let y = gpu.alloc_output(self.format.nrows);
+        let counters = self.launch(gpu, &d_x, &y);
+        SpmvRun::new(y.to_vec(), counters, gpu)
+    }
+
+    fn launch(&self, gpu: &Gpu, d_x: &DeviceBuffer<f32>, y: &DeviceOutput) -> KernelCounters {
+        match self.config.packing {
+            Packing::Diagonal => self.launch_paired(gpu, d_x, y),
+            Packing::Single => self.launch_single(gpu, d_x, y),
+        }
+    }
+
+    // The clean and finite conditions of `replayable`.
+    fn replay_safe(&self, gpu: &Gpu, x: &[f32]) -> bool {
+        !gpu.config.faults.enabled()
+            && !gpu.san_enabled()
+            && self.values_finite
+            && x.iter().all(|&v| F16::round_f32(v).is_finite())
+    }
+
+    fn memo_for(&self, config: &GpuConfig) -> Option<KernelCounters> {
+        let memo = self.memo.lock().ok()?;
+        memo.as_ref().filter(|(c, _)| c == config).map(|&(_, counters)| counters)
+    }
+
+    // Base and byte size of each of the format's five device buffers.
+    fn format_buffers(&self) -> [(u64, u64); 5] {
+        [
+            (self.d_block_row_ptr.base(), self.d_block_row_ptr.bytes()),
+            (self.d_block_cols.base(), self.d_block_cols.bytes()),
+            (self.d_bitmaps.base(), self.d_bitmaps.bytes()),
+            (self.d_block_offsets.base(), self.d_block_offsets.bytes()),
+            (self.d_values.base(), self.d_values.bytes()),
+        ]
+    }
+
+    // True when `[base, base + bytes)` shares no byte with the format's
+    // buffers. Allocations on one `Gpu` never overlap, but an engine run on
+    // another `Gpu` than the one that prepared it can see its `x` or `y`
+    // land on the format's addresses, where the L2 model counts their
+    // sectors as one. Bases are 256-byte aligned, so disjoint bytes are
+    // disjoint L2 lines.
+    fn clear_of_format(&self, base: u64, bytes: u64) -> bool {
+        self.format_buffers().iter().all(|&(b, n)| base + bytes <= b || b + n <= base)
+    }
+
+    /// The paper's kernel: two block-rows per warp, diagonal packing.
+    fn launch_paired(
+        &self,
+        gpu: &Gpu,
+        d_x: &DeviceBuffer<f32>,
+        y: &DeviceOutput,
+    ) -> KernelCounters {
         let block_rows = self.format.block_rows;
         let n_pairs = block_rows.div_ceil(2);
         let nrows = self.format.nrows;
 
-        let counters = gpu.launch(n_pairs, |ctx| {
+        gpu.launch(n_pairs, |ctx| {
             let br0 = 2 * ctx.warp_id;
             let br1 = br0 + 1;
             // Block ranges for both rows: ptr[br0], ptr[br0+1] (= row 1's
@@ -478,8 +593,8 @@ impl SpadenEngine {
                 ctx.ops(2); // loop bookkeeping / index updates (lines 2-3)
                 let k0 = (i < len0).then_some(lo0 + i);
                 let k1 = (i < len1).then_some(hi0 + i);
-                self.fill_portion(ctx, &d_x, &mut a_frag, &mut b_frag, k0, 0);
-                self.fill_portion(ctx, &d_x, &mut a_frag, &mut b_frag, k1, 6);
+                self.fill_portion(ctx, d_x, &mut a_frag, &mut b_frag, k0, 0);
+                self.fill_portion(ctx, d_x, &mut a_frag, &mut b_frag, k1, 6);
                 // Algorithm 3 line 8: accumulate in place.
                 ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
             }
@@ -498,21 +613,22 @@ impl SpadenEngine {
                     writes[8 + lid / 4] = Some((r1 as u32, acc.read_reg(lid, 6)));
                 }
             }
-            ctx.scatter(&y, &writes);
-        });
-
-        SpmvRun::new(y.to_vec(), counters, gpu)
+            ctx.scatter(y, &writes);
+        })
     }
 
     /// Ablation kernel: one block-row per warp, a single block in the
     /// top-left portion — DASP-style 8 useful outputs per MMA.
-    fn run_single(&self, gpu: &Gpu, x: &[f32]) -> SpmvRun {
-        let d_x = gpu.alloc(x.to_vec());
-        let y = gpu.alloc_output(self.format.nrows);
+    fn launch_single(
+        &self,
+        gpu: &Gpu,
+        d_x: &DeviceBuffer<f32>,
+        y: &DeviceOutput,
+    ) -> KernelCounters {
         let block_rows = self.format.block_rows;
         let nrows = self.format.nrows;
 
-        let counters = gpu.launch(block_rows, |ctx| {
+        gpu.launch(block_rows, |ctx| {
             let br = ctx.warp_id;
             let lo = ctx.read(&self.d_block_row_ptr, br) as usize;
             let hi = ctx.read(&self.d_block_row_ptr, br + 1) as usize;
@@ -524,7 +640,7 @@ impl SpadenEngine {
 
             for k in lo..hi {
                 ctx.ops(2);
-                self.fill_portion(ctx, &d_x, &mut a_frag, &mut b_frag, Some(k), 0);
+                self.fill_portion(ctx, d_x, &mut a_frag, &mut b_frag, Some(k), 0);
                 ctx.mma_16x16x16(&mut acc, &a_frag, &b_frag);
             }
 
@@ -536,10 +652,8 @@ impl SpadenEngine {
                     writes[lid / 4] = Some((r as u32, acc.read_reg(lid, 0)));
                 }
             }
-            ctx.scatter(&y, &writes);
-        });
-
-        SpmvRun::new(y.to_vec(), counters, gpu)
+            ctx.scatter(y, &writes);
+        })
     }
 }
 
@@ -549,15 +663,19 @@ mod tests {
     use spaden_gpusim::GpuConfig;
     use spaden_sparse::gen::{self, FillDist, Placement};
 
+    fn bits(y: &[f32]) -> Vec<u32> {
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    // The host SpMV runs in the kernel's order, so on finite input the
+    // simulated `y` equals it bit for bit, under both packings.
     fn check_against_reference(csr: &Csr, x: &[f32]) {
         let gpu = Gpu::new(GpuConfig::l40());
-        let eng = SpadenEngine::prepare(&gpu, csr);
-        let run = eng.run(&gpu, x);
-        let want = eng.format().spmv_reference(x).unwrap();
-        assert_eq!(run.y.len(), want.len());
-        for (r, (a, w)) in run.y.iter().zip(&want).enumerate() {
-            let tol = 1e-3_f32.max(w.abs() * 1e-3);
-            assert!((a - w).abs() <= tol, "row {r}: kernel {a} vs reference {w}");
+        let want = bits(&BitBsr::from_csr(csr).spmv_reference(x).unwrap());
+        for packing in [Packing::Diagonal, Packing::Single] {
+            let config = SpadenConfig { packing, ..Default::default() };
+            let eng = SpadenEngine::prepare_with(&gpu, csr, config);
+            assert_eq!(bits(&eng.run_simulated(&gpu, x).y), want, "{packing:?}");
         }
     }
 
@@ -677,9 +795,7 @@ mod tests {
         );
         let rp = paired.run(&gpu, &x);
         let rs = single.run(&gpu, &x);
-        for (r, (a, b)) in rp.y.iter().zip(&rs.y).enumerate() {
-            assert!((a - b).abs() <= 1e-3_f32.max(b.abs() * 1e-3), "row {r}: {a} vs {b}");
-        }
+        assert_eq!(bits(&rp.y), bits(&rs.y), "both packings add in the same order");
         // One block per MMA instead of two: ~2x the MMA count (exactly
         // bnnz vs sum of per-pair max lengths).
         assert_eq!(rs.counters.mma_m16n16k16, paired.format().bnnz() as u64);

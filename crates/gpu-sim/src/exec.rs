@@ -46,6 +46,11 @@ const SHARDS: usize = 16;
 /// inline, while a launch of 16 working warps costs tens of microseconds.
 pub const POOLED_MIN_WARPS: usize = SHARDS;
 
+/// One shard's slice of the L2 capacity.
+fn shard_l2_bytes(config: &GpuConfig) -> usize {
+    (config.l2_bytes / SHARDS).max(4096)
+}
+
 /// A simulated GPU: configuration plus a bump allocator handing out
 /// non-overlapping virtual addresses for device buffers.
 #[derive(Debug)]
@@ -152,6 +157,19 @@ impl Gpu {
         self.shadow.as_ref().map(|sh| sh.numeric_counts()).unwrap_or_default()
     }
 
+    /// True when a launch that reads only buffers of the given byte sizes
+    /// counts the same L2 hits wherever the bump allocator placed them.
+    ///
+    /// Every shard's cache has the same capacity, so one bound covers
+    /// them all: each buffer of `n` lines fills at most `ceil(n / sets)`
+    /// ways of any set, and when these sum to at most the ways no set
+    /// ever evicts (see [`L2Cache::placement_free`]). Allocations are
+    /// 256-byte aligned and disjoint, so moving one keeps its sectors
+    /// distinct from every other buffer's.
+    pub fn l2_placement_free(&self, buffer_bytes: &[u64]) -> bool {
+        L2Cache::placement_free(shard_l2_bytes(&self.config), buffer_bytes)
+    }
+
     /// Launches `nwarps` instances of `kernel` and returns merged counters.
     ///
     /// Outputs that the kernel updates with [`WarpCtx::atomic_add`] are
@@ -161,7 +179,7 @@ impl Gpu {
     where
         F: Fn(&mut WarpCtx<'o>) + Sync,
     {
-        let shard_l2 = (self.config.l2_bytes / SHARDS).max(4096);
+        let shard_l2 = shard_l2_bytes(&self.config);
         let faults = self.config.faults;
         let salt = if faults.enabled() {
             self.launch_salt.fetch_add(1, std::sync::atomic::Ordering::Relaxed)

@@ -175,6 +175,11 @@ impl F16 {
         (self.0 & 0x7fff) == 0x7c00
     }
 
+    /// True for neither infinity nor NaN.
+    pub fn is_finite(self) -> bool {
+        (self.0 & 0x7c00) != 0x7c00
+    }
+
     /// True for NaN.
     pub fn is_nan(self) -> bool {
         (self.0 & 0x7c00) == 0x7c00 && (self.0 & 0x3ff) != 0

@@ -240,11 +240,33 @@ impl std::fmt::Debug for L2Cache {
 }
 
 impl L2Cache {
+    /// The set count of a cache of `capacity_bytes`: the line count over
+    /// the ways, rounded down to a power of two.
+    fn sets_for(capacity_bytes: usize) -> usize {
+        let lines = (capacity_bytes as u64 / LINE_BYTES).max(WAYS as u64);
+        ((lines / WAYS as u64).next_power_of_two() / 2).max(1) as usize
+    }
+
+    /// True when a cache of `capacity_bytes` can never evict while it is
+    /// accessed only within buffers of the given byte sizes, each at a
+    /// line-aligned base: a buffer of `n` lines puts at most
+    /// `ceil(n / sets)` of them in any one set, wherever it starts, and
+    /// these bounds sum to at most the ways.
+    ///
+    /// Without an eviction a sector hits exactly when it was accessed
+    /// before, so the hit sequence of such an access stream is the same
+    /// for every line-aligned placement of the buffers that keeps them
+    /// disjoint.
+    pub fn placement_free(capacity_bytes: usize, buffer_bytes: &[u64]) -> bool {
+        let sets = Self::sets_for(capacity_bytes) as u64;
+        let ways: u64 = buffer_bytes.iter().map(|&b| b.div_ceil(LINE_BYTES).div_ceil(sets)).sum();
+        ways <= WAYS as u64
+    }
+
     /// Builds a cache of approximately `capacity_bytes` (rounded down to a
     /// power-of-two set count) with 16 ways.
     pub fn new(capacity_bytes: usize) -> Self {
-        let lines = (capacity_bytes as u64 / LINE_BYTES).max(WAYS as u64);
-        let nsets = ((lines / WAYS as u64).next_power_of_two() / 2).max(1) as usize;
+        let nsets = Self::sets_for(capacity_bytes);
         // Every header starts at generation 0 and the cache at 1, so every
         // set starts empty and the zeroed storage needs no other set-up.
         L2Cache {
@@ -565,6 +587,55 @@ mod tests {
         assert_eq!(reused.generation, 1);
         assert_eq!(hits(&mut reused), fresh);
         assert_eq!(reused.capacity_bytes(), capacity);
+    }
+
+    #[test]
+    fn placement_free_buffers_hit_the_same_under_any_aligned_shift() {
+        // A 16 KiB cache has 4 sets of 16 ways. The first size list needs
+        // at most 2 + 4 + 1 + 1 + 3 + 1 + 1 = 13 ways per set; the second
+        // needs 16 for its largest buffer alone, 25 in all.
+        let capacity = 16 << 10;
+        assert_eq!(L2Cache::sets_for(capacity), 4);
+        let free = [1000u64, 2000, 500, 300, 1536, 256, 64];
+        let tight = [1000u64, 8192, 500, 300, 1536, 256, 64];
+        assert!(L2Cache::placement_free(capacity, &free));
+        assert!(!L2Cache::placement_free(capacity, &tight));
+        let mut rng = 0x9e37_u64;
+        let mut hit_sequences = |sizes: &[u64]| -> Vec<Vec<bool>> {
+            // One trace of (buffer, byte offset) reads, replayed under the
+            // packed layout and then under layouts with random 256-byte
+            // gaps, as the bump allocator leaves between allocations.
+            let trace: Vec<(usize, u64)> = (0..6000)
+                .map(|_| {
+                    let b = lcg(&mut rng) as usize % sizes.len();
+                    (b, lcg(&mut rng) % sizes[b])
+                })
+                .collect();
+            (0..40)
+                .map(|layout| {
+                    let mut next = 0x1000_0000u64;
+                    let bases: Vec<u64> = sizes
+                        .iter()
+                        .map(|&bytes| {
+                            let gap = if layout == 0 { 0 } else { lcg(&mut rng) % 80 * 256 };
+                            let base = next + gap;
+                            next = base + bytes.div_ceil(256) * 256;
+                            base
+                        })
+                        .collect();
+                    let mut cache = L2Cache::new(capacity);
+                    trace
+                        .iter()
+                        .map(|&(b, off)| cache.access_sector((bases[b] + off) / SECTOR_BYTES))
+                        .collect()
+                })
+                .collect()
+        };
+        let runs = hit_sequences(&free);
+        assert!(runs.iter().all(|r| *r == runs[0]), "a placement-free stream moved");
+        // The bound is what makes it hold: past it, placement moves hits.
+        let runs = hit_sequences(&tight);
+        assert!(runs.iter().any(|r| *r != runs[0]), "an over-full stream never moved");
     }
 
     // Warp address shapes: `lane_addr` maps an active lane to its byte
