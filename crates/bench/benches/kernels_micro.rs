@@ -1,10 +1,12 @@
 //! Microbenchmarks of the simulator substrate: fragment load/store, MMA
 //! emulation, bitmap decode, f16 conversion, coalescer, L2 model, pair
 //! gathers, warp reductions, and the fixed host cost of one launch. These
-//! bound how fast the functional simulation itself can go.
+//! bound how fast the functional simulation itself can go. The last rows
+//! time what serving pays around the simulator: a replayed launch and a
+//! value-only commit.
 
 use spaden::decode::{decode_matrix_values, value_indices};
-use spaden::{BitBsr, SpadenEngine, SpmvEngine};
+use spaden::{BitBsr, EvolveConfig, SpadenEngine, SpmvEngine};
 use spaden_baselines::GunrockEngine;
 use spaden_bench::BenchGroup;
 use spaden_gpusim::exec::{lanes_from, POOLED_MIN_WARPS, WARP_SIZE};
@@ -13,6 +15,8 @@ use spaden_gpusim::half::F16;
 use spaden_gpusim::memory::{coalesce_into, L2Cache};
 use spaden_gpusim::mma::{mma_accumulate, mma_sync};
 use spaden_gpusim::{Gpu, GpuConfig};
+use spaden_serve::{Request, ServeConfig, SpmvServer};
+use spaden_sparse::delta::{Delta, DeltaBatch};
 
 fn main() {
     // Fragment load/store (256 element mappings each).
@@ -253,6 +257,36 @@ fn main() {
         let eng = SpadenEngine::prepare(&gpu, &small);
         g.bench("run_checked_96x96", || eng.run_checked(&gpu, std::hint::black_box(&x)));
         g.bench("simulate_96x96", || eng.run_simulated(&gpu, std::hint::black_box(&x)));
+    }
+    // The evolve-durable benchmark's matrix (scale-free, 1,024 rows, about
+    // 7,100 nonzeros): one replayed launch, then one commit of 16 value
+    // overwrites, which keeps the structure and so carries the memo.
+    let evolving = spaden_sparse::gen::scale_free(1024, 12_000, 2.0, 0x5ca1_ef7e);
+    let x = spaden_bench::make_x(evolving.ncols);
+    {
+        let gpu = Gpu::new(GpuConfig::l40());
+        let eng = SpadenEngine::prepare(&gpu, &evolving);
+        eng.run(&gpu, &x);
+        g.bench("replay_scale_free_1024", || eng.run(&gpu, std::hint::black_box(&x)));
+    }
+    {
+        let mut server = SpmvServer::new(Gpu::new(GpuConfig::l40()), ServeConfig::default());
+        let h = server.register_evolving(&evolving, EvolveConfig::default()).expect("valid");
+        server.serve(Request { matrix: h, x: x.clone(), deadline_s: None }).expect("serves");
+        let overwrites = (0..evolving.nrows)
+            .step_by(37)
+            .filter_map(|r| {
+                let (cols, vals) = evolving.row(r);
+                Some(Delta { row: r as u32, col: *cols.first()?, value: vals[0] * 0.5 })
+            })
+            .take(16)
+            .collect();
+        let batch = DeltaBatch::new(overwrites, evolving.nrows, evolving.ncols).expect("valid");
+        assert_eq!(batch.len(), 16);
+        let g = BenchGroup::new("serve");
+        g.bench("update_value_only", || {
+            server.update(h, std::hint::black_box(&batch)).expect("a value-only batch commits")
+        });
     }
 
     // Reference CSR SpMV serial vs row-parallel on the pool.

@@ -236,6 +236,23 @@ impl BitBsr {
                 what: format!("x.len() = {}, ncols = {}", x.len(), self.ncols),
             });
         }
+        let x16: Vec<f32> = x.iter().map(|&v| F16::round_f32(v)).collect();
+        Ok(self.spmv_widened(&self.widened_values(), &x16))
+    }
+
+    /// Every stored value widened to f32, in storage order.
+    pub(crate) fn widened_values(&self) -> Vec<f32> {
+        self.values.iter().map(|v| v.to_f32()).collect()
+    }
+
+    /// The loop of [`BitBsr::spmv_reference`], over the values already
+    /// widened (`wide`, from `widened_values`) and an `x16` already rounded
+    /// to f16. Both conversions are pure, so doing them once up front
+    /// instead of once per nonzero changes no bit. Panics unless `wide`
+    /// holds one value per nonzero and `x16` one per column.
+    pub(crate) fn spmv_widened(&self, wide: &[f32], x16: &[f32]) -> Vec<f32> {
+        assert_eq!(wide.len(), self.values.len(), "one widened value per nonzero");
+        assert_eq!(x16.len(), self.ncols, "x length mismatch");
         let mut y = vec![0.0f32; self.nrows];
         for br in 0..self.block_rows {
             let lo = self.block_row_ptr[br] as usize;
@@ -250,7 +267,7 @@ impl BitBsr {
                     bits &= bits - 1;
                     let c = c0 + bit % BLOCK_DIM;
                     if c < self.ncols {
-                        acc[bit / BLOCK_DIM] += self.values[v].to_f32() * F16::round_f32(x[c]);
+                        acc[bit / BLOCK_DIM] += wide[v] * x16[c];
                     }
                     v += 1;
                 }
@@ -259,7 +276,7 @@ impl BitBsr {
                 *out = a;
             }
         }
-        Ok(y)
+        y
     }
 
     /// Extracts block-rows `lo..hi` as a standalone bitBSR matrix whose

@@ -32,7 +32,7 @@ use spaden_gpusim::memory::{DeviceBuffer, DeviceOutput};
 use spaden_gpusim::{Gpu, GpuConfig, KernelCounters};
 use spaden_sparse::csr::Csr;
 use spaden_sparse::gen::BLOCK_DIM;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Upper bound on ABFT verify → scalar-recompute rounds before
 /// [`SpadenEngine::try_run_checked`] gives up with
@@ -111,6 +111,8 @@ pub struct SpadenEngine {
     values_finite: bool,
     /// One clean, placement-free launch: its config and its counters.
     memo: Mutex<Option<(GpuConfig, KernelCounters)>>,
+    /// The stored values widened to f32, built by the first replay.
+    wide_values: OnceLock<Vec<f32>>,
 }
 
 /// Counts f16 conversion hazards over the source values (prepare-time
@@ -220,6 +222,7 @@ impl SpadenEngine {
             prep_hazards,
             values_finite,
             memo: Mutex::new(None),
+            wide_values: OnceLock::new(),
         })
     }
 
@@ -321,20 +324,20 @@ impl SpmvEngine for SpadenEngine {
     /// records it as the memo.
     fn run(&self, gpu: &Gpu, x: &[f32]) -> SpmvRun {
         assert_eq!(x.len(), self.format.ncols, "x length mismatch");
-        let safe = self.replay_safe(gpu, x);
-        let memo = if safe { self.memo_for(&gpu.config) } else { None };
+        let x16 = self.replay_input(gpu, x);
+        let memo = if x16.is_some() { self.memo_for(&gpu.config) } else { None };
         let d_x = gpu.alloc(x.to_vec());
         let y = gpu.alloc_output(self.format.nrows);
         let clear = self.clear_of_format(d_x.base(), d_x.bytes())
             && self.clear_of_format(y.base(), y.len() as u64 * 4);
-        if let (Some(counters), true) = (memo, clear) {
-            let y = self.format.spmv_reference(x).expect("x length checked above");
-            return SpmvRun::new(y, counters, gpu);
+        if let (Some(x16), Some(counters), true) = (&x16, memo, clear) {
+            let wide = self.wide_values.get_or_init(|| self.format.widened_values());
+            return SpmvRun::new(self.format.spmv_widened(wide, x16), counters, gpu);
         }
         let counters = self.launch(gpu, &d_x, &y);
         let [a, b, c, d, e] = self.format_buffers().map(|(_, bytes)| bytes);
         let touched = [a, b, c, d, e, d_x.bytes(), y.len() as u64 * 4];
-        if safe && clear && gpu.l2_placement_free(&touched) {
+        if x16.is_some() && clear && gpu.l2_placement_free(&touched) {
             if let Ok(mut memo) = self.memo.lock() {
                 *memo = Some((gpu.config.clone(), counters));
             }
@@ -498,11 +501,46 @@ impl SpadenEngine {
     /// either lands on the format's addresses, which only an engine run on
     /// another `Gpu` than the one that prepared it can see (sharded
     /// serving does), and it records only launches that landed clear. A
-    /// replay computes `y` with
-    /// [`BitBsr::spmv_reference`], which equals the kernel's `y` bit for
-    /// bit on finite input (see its doc comment).
+    /// replay computes `y` with the loop of [`BitBsr::spmv_reference`],
+    /// over `x` rounded once and the values widened once per engine, which
+    /// equals the kernel's `y` bit for bit on finite input (see its doc
+    /// comment).
+    ///
+    /// The memo can come from an earlier engine over the same structure
+    /// (see [`SpadenEngine::carry_memo_from`]).
     pub fn replayable(&self, gpu: &Gpu, x: &[f32]) -> bool {
-        self.replay_safe(gpu, x) && self.memo_for(&gpu.config).is_some()
+        self.replay_input(gpu, x).is_some() && self.memo_for(&gpu.config).is_some()
+    }
+
+    /// Adopts `prev`'s memo, and returns `true`, when this engine's clean
+    /// launches count exactly what `prev`'s do: the `SpadenConfig`, the
+    /// dimensions and the four structure arrays (`block_row_ptr`,
+    /// `block_cols`, `bitmaps`, `block_offsets`) are equal. Under the
+    /// conditions of [`SpadenEngine::replayable`] a launch's counters
+    /// depend on nothing else: the kernel's addresses and trip counts come
+    /// from the structure, and equal arrays give equal buffer sizes, so the
+    /// placement bound the memo was recorded under holds here too. Values
+    /// stay out of the comparison; the finiteness and address checks still
+    /// run on every launch of this engine.
+    ///
+    /// This is what lets a value-only commit, or one whose inserts all went
+    /// to the side buffer, serve its first read without a simulation.
+    pub fn carry_memo_from(&self, prev: &SpadenEngine) -> bool {
+        let (a, b) = (&self.format, &prev.format);
+        let same = self.config == prev.config
+            && (a.nrows, a.ncols) == (b.nrows, b.ncols)
+            && a.block_row_ptr == b.block_row_ptr
+            && a.block_cols == b.block_cols
+            && a.bitmaps == b.bitmaps
+            && a.block_offsets == b.block_offsets;
+        let memo = if same { prev.memo.lock().ok().and_then(|m| m.clone()) } else { None };
+        match (memo, self.memo.lock()) {
+            (Some(memo), Ok(mut mine)) => {
+                *mine = Some(memo);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// [`SpmvEngine::run`] without the memo: always simulates the launch
@@ -522,12 +560,14 @@ impl SpadenEngine {
         }
     }
 
-    // The clean and finite conditions of `replayable`.
-    fn replay_safe(&self, gpu: &Gpu, x: &[f32]) -> bool {
-        !gpu.config.faults.enabled()
-            && !gpu.san_enabled()
-            && self.values_finite
-            && x.iter().all(|&v| F16::round_f32(v).is_finite())
+    // `x` rounded to f16, when the launch meets the clean and finite
+    // conditions of `replayable`.
+    fn replay_input(&self, gpu: &Gpu, x: &[f32]) -> Option<Vec<f32>> {
+        if gpu.config.faults.enabled() || gpu.san_enabled() || !self.values_finite {
+            return None;
+        }
+        let x16: Vec<f32> = x.iter().map(|&v| F16::round_f32(v)).collect();
+        x16.iter().all(|v| v.is_finite()).then_some(x16)
     }
 
     fn memo_for(&self, config: &GpuConfig) -> Option<KernelCounters> {

@@ -7,11 +7,20 @@
 //! exact (faults, SimSan, non-finite input, an L2 that placement can
 //! overflow, `x` landing on the format's addresses), and that a replay
 //! advances the allocator as a launch does.
+//!
+//! The last tests carry a memo across evolving-matrix commits: a replay
+//! on the next epoch's engine must equal that engine's own simulated
+//! launch, and no memo may cross a change of structure or of
+//! `SpadenConfig`.
 //! The benchmark measures the release profile, so CI runs this file in
 //! release too.
 
-use spaden::{FragmentIo, Packing, SpadenConfig, SpadenEngine, SpmvEngine, SpmvRun};
+use spaden::{
+    EvolveConfig, EvolvingMatrix, FragmentIo, Packing, SpadenConfig, SpadenEngine, SpmvEngine,
+    SpmvRun,
+};
 use spaden_gpusim::{FaultConfig, Gpu, GpuConfig, SanConfig};
+use spaden_sparse::delta::{Delta, DeltaBatch};
 use spaden_sparse::gen::{self, FillDist, Placement};
 use spaden_sparse::Csr;
 
@@ -320,4 +329,204 @@ fn a_launch_whose_x_lands_on_the_format_simulates() {
     let (clean, want) = on_device(false);
     assert_ne!(clean.counters, want.counters, "aliased sectors change the hits");
     assert_same(&on_device(true).1, &want, "aliased launch");
+}
+
+/// The Spaden engine of an evolving matrix's current epoch, built the way
+/// the serving layer builds it.
+fn engine_of(gpu: &Gpu, ev: &EvolvingMatrix, config: SpadenConfig) -> SpadenEngine {
+    SpadenEngine::try_from_parts(gpu, ev.base().clone(), ev.base_sums().clone(), config)
+        .expect("a committed base is valid")
+}
+
+fn batch(truth: &Csr, deltas: Vec<Delta>) -> DeltaBatch {
+    DeltaBatch::new(deltas, truth.nrows, truth.ncols).expect("valid batch")
+}
+
+/// Overwrites of one stored entry in every fifth row from `first` with
+/// ±0, f16 subnormals, values that underflow f16, and ±65504.
+fn edge_overwrites(truth: &Csr, first: usize) -> DeltaBatch {
+    const EDGES: [f32; 7] = [0.0, -0.0, 3.0e-6, -3.0e-6, 1.0e-9, 65504.0, -65504.0];
+    let deltas = (first..truth.nrows)
+        .step_by(5)
+        .filter_map(|r| {
+            let (cols, _) = truth.row(r);
+            let col = *cols.get(cols.len() / 2)?;
+            Some(Delta { row: r as u32, col, value: EDGES[r % EDGES.len()] })
+        })
+        .collect();
+    batch(truth, deltas)
+}
+
+/// Positions in `k` 8×8 blocks the base format does not hold, one per
+/// block; with an empty side buffer they all go to the side buffer.
+fn new_block_positions(ev: &EvolvingMatrix, k: usize, first_br: usize) -> Vec<(u32, u32)> {
+    let base = ev.base();
+    let mut out = Vec::new();
+    for br in (first_br..base.block_rows).step_by(3) {
+        let (lo, hi) = (base.block_row_ptr[br] as usize, base.block_row_ptr[br + 1] as usize);
+        let held = &base.block_cols[lo..hi];
+        let free = (0..base.block_cols_dim as u32).find(|bc| !held.contains(bc));
+        if let Some(bc) = free {
+            let (r, c) = (br * 8 + br % 8, bc as usize * 8 + br % 5);
+            if r < base.nrows && c < base.ncols {
+                out.push((r as u32, c as u32));
+            }
+        }
+        if out.len() == k {
+            break;
+        }
+    }
+    assert_eq!(out.len(), k, "the fixture has {k} free blocks");
+    out
+}
+
+/// One position that is not stored but lies in a block the base holds.
+fn base_insert_position(ev: &EvolvingMatrix) -> (u32, u32) {
+    let base = ev.base();
+    for br in 0..base.block_rows {
+        for k in base.block_row_ptr[br] as usize..base.block_row_ptr[br + 1] as usize {
+            let bc = base.block_cols[k] as usize;
+            let free = (0..64).find(|&bit| {
+                let (r, c) = (br * 8 + bit / 8, bc * 8 + bit % 8);
+                base.bitmaps[k] >> bit & 1 == 0 && r < base.nrows && c < base.ncols
+            });
+            if let Some(bit) = free {
+                return ((br * 8 + bit / 8) as u32, (bc * 8 + bit % 8) as u32);
+            }
+        }
+    }
+    panic!("the fixture has a block with a free position")
+}
+
+fn inserts(truth: &Csr, at: &[(u32, u32)], value: f32) -> DeltaBatch {
+    batch(truth, at.iter().map(|&(row, col)| Delta { row, col, value }).collect())
+}
+
+#[test]
+fn a_carried_memo_replays_value_only_and_side_only_commits_bit_for_bit() {
+    for config in [GpuConfig::l40(), GpuConfig::v100()] {
+        for variant in VARIANTS {
+            let what = format!("{} {variant:?}", config.name);
+            let gpu = Gpu::new(config.clone());
+            let csr = edgy(gen::random_uniform(203, 181, 900, 53));
+            let mut ev = EvolvingMatrix::new(csr, EvolveConfig::default());
+            let mut prev = engine_of(&gpu, &ev, variant);
+            prev.run(&gpu, &edgy_x(181, 0));
+            for step in 0..5usize {
+                let truth = ev.csr();
+                let next_batch = match step {
+                    // Value-only.
+                    0 | 2 => edge_overwrites(truth, step),
+                    // Side-only inserts, then an overwrite of a side entry.
+                    1 => inserts(truth, &new_block_positions(&ev, 3, 1), -0.75),
+                    3 => inserts(truth, &[ev.delta().side()[1]].map(|e| (e.row, e.col)), 3.0e-6),
+                    _ => inserts(truth, &new_block_positions(&ev, 2, 2), 65504.0),
+                };
+                let report = ev.apply(&next_batch, None).expect("the batch commits");
+                assert!(!report.compacted && report.apply.base_inserts == 0, "{what} {step}");
+                let next = engine_of(&gpu, &ev, variant);
+                assert!(next.carry_memo_from(&prev), "{what}, step {step}: same structure");
+                let x = edgy_x(181, step as u64 + 1);
+                assert!(next.replayable(&gpu, &x), "{what}, step {step}");
+                let replayed = next.run(&gpu, &x);
+                gpu.alloc(vec![0u8; 300]);
+                let simulated = next.run_simulated(&gpu, &x);
+                assert_same(&replayed, &simulated, &format!("{what}, step {step}"));
+                prev = next;
+            }
+            assert_eq!(ev.delta().side_len(), 5, "{what}: the side inserts stayed in the side");
+        }
+    }
+}
+
+#[test]
+fn no_memo_is_carried_across_a_structure_or_config_change() {
+    let csr = edgy(gen::random_uniform(203, 181, 2600, 59));
+    let x = edgy_x(181, 9);
+    let gpu = Gpu::new(GpuConfig::l40());
+    let default = SpadenConfig::default();
+    let commit = |config: EvolveConfig, at: &dyn Fn(&EvolvingMatrix) -> Vec<(u32, u32)>| {
+        let mut ev = EvolvingMatrix::new(csr.clone(), config);
+        let prev = engine_of(&gpu, &ev, default);
+        prev.run(&gpu, &x);
+        assert!(engine_of(&gpu, &ev, default).carry_memo_from(&prev), "control");
+        let report = ev.apply(&inserts(ev.csr(), &at(&ev), 0.5), None).expect("commits");
+        (prev, engine_of(&gpu, &ev, default), report)
+    };
+    let check = |prev: &SpadenEngine, next: &SpadenEngine, what: &str| {
+        assert!(!next.carry_memo_from(prev), "{what}: no carry");
+        assert!(!next.replayable(&gpu, &x), "{what}: simulates");
+        let first = next.run(&gpu, &x);
+        assert_same(&first, &next.run_simulated(&gpu, &x), what);
+        assert!(next.replayable(&gpu, &x), "{what}: its own launch records a memo");
+    };
+
+    // A new bit in a block the base holds.
+    let in_a_held_block = |ev: &EvolvingMatrix| vec![base_insert_position(ev)];
+    let (prev, next, report) = commit(EvolveConfig::default(), &in_a_held_block);
+    assert_eq!(report.apply.base_inserts, 1);
+    check(&prev, &next, "base insert");
+
+    // A new block that the commit compacts into the base at once.
+    let compact_now = EvolveConfig { compact_threshold: 1, ..EvolveConfig::default() };
+    let (prev, next, report) = commit(compact_now, &|ev| new_block_positions(ev, 1, 0));
+    assert!(report.compacted);
+    check(&prev, &next, "compaction");
+
+    // Same structure, another kernel variant.
+    let ev = EvolvingMatrix::new(csr.clone(), EvolveConfig::default());
+    let prev = engine_of(&gpu, &ev, default);
+    prev.run(&gpu, &x);
+    for variant in &VARIANTS[1..] {
+        let other = engine_of(&gpu, &ev, *variant);
+        check(&prev, &other, &format!("{variant:?}"));
+    }
+
+    // Same structure arrays, a wider matrix: 184 columns still make 23
+    // block columns, but `x` is longer.
+    let wider = Csr { ncols: 184, ..csr.clone() };
+    let wide_x = edgy_x(184, 9);
+    let other = SpadenEngine::prepare(&gpu, &wider);
+    assert_eq!(other.format().block_cols, prev.format().block_cols);
+    assert!(!other.carry_memo_from(&prev), "another shape: no carry");
+    assert!(!other.replayable(&gpu, &wide_x));
+
+    // Same blocks and value offsets, one nonzero moved within its block:
+    // only the bitmaps differ.
+    let with_entry_at = |col: u32| {
+        let mut coo = spaden_sparse::Coo::new(16, 16);
+        coo.push(0, col, 1.5);
+        coo.push(9, 9, -2.0);
+        coo.to_csr()
+    };
+    let x16 = edgy_x(16, 11);
+    let (one, other) = (with_entry_at(0), with_entry_at(3));
+    let (one, other) = (SpadenEngine::prepare(&gpu, &one), SpadenEngine::prepare(&gpu, &other));
+    one.run(&gpu, &x16);
+    let (a, b) = (one.format(), other.format());
+    assert_eq!((&a.block_cols, &a.block_offsets), (&b.block_cols, &b.block_offsets));
+    assert_ne!(a.bitmaps, b.bitmaps);
+    assert!(!other.carry_memo_from(&one), "a moved bit: no carry");
+    assert!(!other.replayable(&gpu, &x16));
+}
+
+#[test]
+fn an_f16_overflowing_overwrite_simulates() {
+    let csr = gen::random_uniform(120, 120, 1600, 61);
+    let x = edgy_x(120, 10);
+    let gpu = Gpu::new(GpuConfig::l40());
+    let mut ev = EvolvingMatrix::new(csr, EvolveConfig::default());
+    let prev = engine_of(&gpu, &ev, SpadenConfig::default());
+    prev.run(&gpu, &x);
+    let (cols, _) = ev.csr().row(7);
+    let overflow = batch(ev.csr(), vec![Delta { row: 7, col: cols[0], value: 1.0e6 }]);
+    ev.apply(&overflow, None).expect("a finite f32 commits");
+    let next = engine_of(&gpu, &ev, SpadenConfig::default());
+    assert!(next.carry_memo_from(&prev), "the structure is unchanged");
+    assert!(!next.replayable(&gpu, &x), "an inf value never replays");
+    let got = next.run(&gpu, &x);
+    let want = next.run_simulated(&gpu, &x);
+    assert!(want.y.iter().any(|v| !v.is_finite()), "the inf reaches y");
+    assert_eq!(folded(&got.y), folded(&want.y));
+    assert_eq!(got.counters, want.counters);
 }

@@ -20,7 +20,7 @@
 use crate::registry::EngineKind;
 use spaden_gpusim::{estimate_time, GpuConfig, KernelCounters, SimTime};
 use spaden_sparse::csr::Csr;
-use spaden_sparse::stats::{block_profile, BlockProfile};
+use spaden_sparse::stats::{block_profile, block_rows_profile, BlockProfile};
 use spaden_sparse::MatrixFingerprint;
 
 /// 8×8 block edge (mirrors `spaden_sparse::gen::BLOCK_DIM`).
@@ -63,6 +63,28 @@ impl MatrixStats {
             nnz: csr.nnz(),
             profile: block_profile(csr),
             max_degree: (0..csr.nrows).map(|r| csr.row_nnz(r)).max().unwrap_or(0),
+        }
+    }
+
+    /// The stats after a structural commit that changed only the
+    /// block-rows in `touched`: `before` is their block profile in the
+    /// matrix before the commit ([`block_rows_profile`]) and `next` the
+    /// matrix after it. Only the touched block-rows are walked. A commit
+    /// only overwrites or inserts, so no row's degree shrinks and the
+    /// longest row is the old one or a touched one. Equals
+    /// [`MatrixStats::of`]`(next)`.
+    pub fn after_commit(&self, before: &BlockProfile, next: &Csr, touched: &[usize]) -> Self {
+        let mut profile = self.profile;
+        profile.unmerge(before);
+        profile.merge(&block_rows_profile(next, touched.iter().copied()));
+        let touched_rows = touched
+            .iter()
+            .flat_map(|&br| br * BLOCK_DIM..((br + 1) * BLOCK_DIM).min(next.nrows));
+        MatrixStats {
+            nnz: next.nnz(),
+            profile,
+            max_degree: touched_rows.map(|r| next.row_nnz(r)).fold(self.max_degree, usize::max),
+            ..*self
         }
     }
 

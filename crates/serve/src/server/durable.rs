@@ -5,7 +5,6 @@ use super::{MatrixEntry, MatrixHandle, RecoveryReport, ServeError, SpmvServer};
 use spaden::{EvolveConfig, EvolvingMatrix};
 use spaden_plan::MatrixStats;
 use spaden_sparse::csr::Csr;
-use spaden_sparse::fingerprint;
 use spaden_store::{recover, DurableStore, SnapshotPolicy, StoreImage};
 use std::sync::Arc;
 
@@ -66,8 +65,8 @@ impl SpmvServer {
         ev: Box<EvolvingMatrix>,
         policy: SnapshotPolicy,
     ) -> Result<MatrixHandle, ServeError> {
-        let fp = fingerprint(ev.csr());
-        let (current, sharded) = self.build_evolved(&ev, &MatrixStats::from_fingerprint(&fp))?;
+        let stats = MatrixStats::of(ev.csr());
+        let (current, sharded) = self.build_evolved(&ev, &stats, None)?;
         // Recovery ends with a checkpoint: a fresh store snapshotted at
         // the recovered epoch with an empty log, so a second crash
         // recovers from here with zero replay.
@@ -75,7 +74,8 @@ impl SpmvServer {
         self.matrices.push(MatrixEntry {
             current: Arc::new(current),
             sharded,
-            fp,
+            stats,
+            fp: None,
             evolving: Some(ev),
             store: Some(Box::new(store)),
         });

@@ -84,8 +84,9 @@ use spaden::{
 };
 use spaden_baselines::CusparseCsrEngine;
 use spaden_gpusim::{DeviceFaultConfig, Gpu, InjectionConfig};
+use spaden_plan::MatrixStats;
 use spaden_shard::{DeviceFleet, ShardedMatrix};
-use spaden_sparse::MatrixFingerprint;
+use spaden_sparse::{fingerprint, MatrixFingerprint};
 #[cfg(doc)]
 use spaden::engine::EngineError;
 use spaden_store::DurableStore;
@@ -147,14 +148,20 @@ struct BatchPlan {
 }
 
 /// A registered matrix slot: the head snapshot served to new requests,
-/// the optional update lifecycle, and the head's content fingerprint.
+/// the optional update lifecycle, and the truth's structure statistics.
 struct MatrixEntry {
     current: Arc<PreparedMatrix>,
     /// Sharded form of the *head epoch*; `None` when no fleet is
     /// configured.
     sharded: Option<ShardedMatrix>,
     evolving: Option<Box<EvolvingMatrix>>,
-    fp: MatrixFingerprint,
+    /// The cost model's inputs for the latest committed truth, carried
+    /// across commits: a value-only commit keeps them and a structural
+    /// one updates its touched block-rows.
+    stats: MatrixStats,
+    /// Fingerprint of a static registration; `None` for an evolving
+    /// matrix, which [`SpmvServer::fingerprint_of`] hashes on demand.
+    fp: Option<MatrixFingerprint>,
     /// Crash-consistent durability, attached by
     /// [`SpmvServer::register_evolving_durable`]. `None` (the default)
     /// keeps the serving path byte-for-byte identical to a server
@@ -304,9 +311,19 @@ impl SpmvServer {
         self.matrices.get(h.0).map(|e| e.current.epoch)
     }
 
-    /// Content fingerprint of a registered matrix's head epoch.
+    /// Content fingerprint of a registered matrix. An evolving matrix's
+    /// latest committed truth is hashed on each call (O(nnz)), so commits
+    /// never pay for it; that truth is the head epoch's unless the
+    /// commit's snapshot failed to build.
     pub fn fingerprint_of(&self, h: MatrixHandle) -> Option<MatrixFingerprint> {
-        self.matrices.get(h.0).map(|e| e.fp)
+        let e = self.matrices.get(h.0)?;
+        e.evolving.as_ref().map(|ev| fingerprint(ev.csr())).or(e.fp)
+    }
+
+    /// The cost model's structure statistics of a registered matrix's
+    /// latest committed truth, as the server keeps them across commits.
+    pub fn matrix_stats(&self, h: MatrixHandle) -> Option<MatrixStats> {
+        self.matrices.get(h.0).map(|e| e.stats)
     }
 
     /// Update-lifecycle counters of an evolving matrix (`None` for

@@ -7,7 +7,7 @@ use spaden::engine::EngineError;
 use spaden::{SpmvEngine, UpdateFault};
 use spaden_gpusim::{FaultConfig, GpuConfig};
 use spaden_sparse::gen;
-use spaden_sparse::delta::{DeltaClass, UpdateError};
+use spaden_sparse::delta::{Delta, DeltaBatch, DeltaClass, UpdateError};
 
 #[test]
 fn clean_request_served_by_top_rung() {
@@ -665,6 +665,36 @@ fn structural_update_serves_base_plus_side_tail_verified() {
     let ok = srv.serve(Request { matrix: h, x: x.clone(), deadline_s: None }).unwrap();
     assert_eq!(ok.rung, Rung::CsrBaseline);
     check_against(&truth, &x, &ok.y);
+}
+
+#[test]
+fn commits_carry_the_launch_memo_and_repair_the_csr_checksums() {
+    // A published head holds the CSR checksums of the new truth, and
+    // the previous engine's launch memo while the base structure is
+    // unchanged: its first read replays.
+    let (mut srv, h, csr) = evolving_server();
+    let x = make_x(96);
+    srv.serve(Request { matrix: h, x: x.clone(), deadline_s: None }).unwrap();
+    let (r, c) = (0..csr.nrows)
+        .find_map(|r| {
+            let cols = csr.row(r).0;
+            let bc = *cols.first()? / 8;
+            (bc * 8..bc * 8 + 8).find(|c| !cols.contains(c)).map(|c| (r as u32, c))
+        })
+        .expect("a block with a free position");
+    let base_insert = DeltaBatch::new(vec![Delta { row: r, col: c, value: 0.5 }], 96, 96).unwrap();
+    let mut truth = csr.clone();
+    for (batch, carried) in
+        [(value_batch(&csr, 9, 2.0), true), (new_block_batch(&csr, 3), true), (base_insert, false)]
+    {
+        srv.update(h, &batch).expect("commits");
+        truth = spaden_sparse::delta::apply_to_csr(&truth, &batch).unwrap();
+        let head = &srv.matrices[h.0].current;
+        assert_eq!(head.sums, CsrChecksums::build(&truth));
+        assert_eq!(head.spaden.replayable(srv.gpu(), &x), carried);
+        let ok = srv.serve(Request { matrix: h, x: x.clone(), deadline_s: None }).unwrap();
+        check_against(&truth, &x, &ok.y);
+    }
 }
 
 #[test]

@@ -8,11 +8,13 @@
 //! * the store's snapshot identity check records the fingerprint key at
 //!   snapshot time and refuses a restore whose matrix hashes differently;
 //! * `Server::fingerprint_of` reports a served matrix's head-epoch
-//!   fingerprint, which `repro recover` and the chaos oracle compare
-//!   against the truth chain;
+//!   fingerprint (an evolving matrix's is hashed on demand), which
+//!   `repro recover` and the chaos oracle compare against the truth
+//!   chain;
 //! * the cost model's `MatrixStats` reads the block profile and degree
-//!   statistics carried here, so engines are priced without re-walking
-//!   the matrix.
+//!   statistics carried here at registration, so engines are priced
+//!   without re-walking the matrix; commits then carry the stats forward
+//!   without hashing.
 //!
 //! The fingerprint is a pure function of the matrix content: dimensions, nonzero structure, the 8×8 block
 //! profile of Section 5.4 (which also feeds the cost-model selector),

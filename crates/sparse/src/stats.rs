@@ -54,6 +54,23 @@ impl BlockProfile {
         }
     }
 
+    /// Adds another profile's counts (for example a block-row's).
+    pub fn merge(&mut self, other: &BlockProfile) {
+        self.sparse += other.sparse;
+        self.medium += other.medium;
+        self.dense += other.dense;
+        self.nnz += other.nnz;
+    }
+
+    /// Removes counts that an earlier [`BlockProfile::merge`] added.
+    /// Panics if `other` holds more of any class than `self`.
+    pub fn unmerge(&mut self, other: &BlockProfile) {
+        self.sparse -= other.sparse;
+        self.medium -= other.medium;
+        self.dense -= other.dense;
+        self.nnz -= other.nnz;
+    }
+
     /// Total non-empty blocks (`Bnnz`).
     pub fn total(&self) -> usize {
         self.sparse + self.medium + self.dense
@@ -99,32 +116,34 @@ impl BlockProfile {
 /// Computes the block profile of a CSR matrix for 8×8 blocking, from the
 /// linear block-row walk of [`crate::blockrow`] on nnz-balanced pool runs.
 pub fn block_profile(csr: &Csr) -> BlockProfile {
-    blockrow::map_runs(csr, BLOCK_DIM, |run| {
-        let mut p = BlockProfile::default();
-        for br in run {
-            let (mut cur, mut n) = (u32::MAX, 0);
-            blockrow::for_each_nonzero(csr, br, BLOCK_DIM, |bc, _, _, _| {
-                if bc != cur {
-                    if n > 0 {
-                        p.add_block(n);
-                    }
-                    (cur, n) = (bc, 0);
+    blockrow::map_runs(csr, BLOCK_DIM, |run| block_rows_profile(csr, run))
+        .into_iter()
+        .fold(BlockProfile::default(), |mut a, b| {
+            a.merge(&b);
+            a
+        })
+}
+
+/// The block profile of the given 8-row block-rows of `csr` alone: what a
+/// commit that touched only them subtracts before and adds after.
+pub fn block_rows_profile(csr: &Csr, block_rows: impl IntoIterator<Item = usize>) -> BlockProfile {
+    let mut p = BlockProfile::default();
+    for br in block_rows {
+        let (mut cur, mut n) = (u32::MAX, 0);
+        blockrow::for_each_nonzero(csr, br, BLOCK_DIM, |bc, _, _, _| {
+            if bc != cur {
+                if n > 0 {
+                    p.add_block(n);
                 }
-                n += 1;
-            });
-            if n > 0 {
-                p.add_block(n);
+                (cur, n) = (bc, 0);
             }
+            n += 1;
+        });
+        if n > 0 {
+            p.add_block(n);
         }
-        p
-    })
-    .into_iter()
-    .fold(BlockProfile::default(), |a, b| BlockProfile {
-        sparse: a.sparse + b.sparse,
-        medium: a.medium + b.medium,
-        dense: a.dense + b.dense,
-        nnz: a.nnz + b.nnz,
-    })
+    }
+    p
 }
 
 /// Row-degree histogram with power-of-two buckets; used by the DASP
@@ -223,5 +242,18 @@ mod tests {
         let total: usize = h.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 100);
         assert!(h.iter().all(|&(b, _)| b <= 8), "banded degree ~4, got {h:?}");
+    }
+
+    #[test]
+    fn block_row_profiles_add_up_to_the_matrix_profile() {
+        let csr = crate::gen::scale_free(700, 9000, 1.8, 17);
+        let whole = block_profile(&csr);
+        let brs = csr.nrows.div_ceil(BLOCK_DIM);
+        assert_eq!(block_rows_profile(&csr, 0..brs), whole);
+        let (mut head, tail) = (block_rows_profile(&csr, 0..40), block_rows_profile(&csr, 40..brs));
+        head.merge(&tail);
+        assert_eq!(head, whole);
+        head.unmerge(&tail);
+        assert_eq!(head, block_rows_profile(&csr, 0..40));
     }
 }
