@@ -64,14 +64,23 @@ use spaden_sparse::dense::Dense;
 use spaden_sparse::gen::BLOCK_DIM;
 use spaden_sparse::{blockrow, par};
 
-/// Checksum entry arrays: a whole matrix's ([`AbftChecksums::build`]) or
-/// one block-row's (the other builders).
-#[derive(Default)]
-struct Entries {
-    cols: Vec<u32>,
-    sums: Vec<f64>,
-    wsums: Vec<f64>,
-    abs: Vec<f64>,
+/// Checksum entry arrays, one entry per (block-row, matrix column), in
+/// block-row order and then column order; a checksum set pairs them with
+/// block-row offsets (block-row `br` owns entries `ptr[br]..ptr[br+1]`).
+/// The four arrays have equal length. [`AbftChecksums`] and the serving
+/// layer's CSR-rung checksums both store their sums here and repair them
+/// through [`Entries::spliced`].
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Entries {
+    /// Matrix column index per entry.
+    pub cols: Vec<u32>,
+    /// `Σ_r A[r, col]` over the block-row.
+    pub sums: Vec<f64>,
+    /// `Σ_r (1 + dr) A[r, col]` — the row-weighted column sum (`dr` is the
+    /// row offset within the block-row).
+    pub wsums: Vec<f64>,
+    /// `Σ_r |A[r, col]|` — the value mass that scales the tolerance.
+    pub abs: Vec<f64>,
 }
 
 /// A window of [`Entries`] that [`row_entries`] writes front to back.
@@ -87,6 +96,15 @@ impl Entries {
         Entries { cols: vec![0; n], sums: vec![0.0; n], wsums: vec![0.0; n], abs: vec![0.0; n] }
     }
 
+    fn with_capacity(n: usize) -> Self {
+        let f = || Vec::with_capacity(n);
+        Entries { cols: Vec::with_capacity(n), sums: f(), wsums: f(), abs: f() }
+    }
+
+    fn len(&self) -> usize {
+        self.cols.len()
+    }
+
     fn window(&mut self) -> EntriesMut<'_> {
         EntriesMut {
             cols: &mut self.cols,
@@ -94,6 +112,13 @@ impl Entries {
             wsums: &mut self.wsums,
             abs: &mut self.abs,
         }
+    }
+
+    fn resize(&mut self, n: usize) {
+        self.cols.resize(n, 0);
+        self.sums.resize(n, 0.0);
+        self.wsums.resize(n, 0.0);
+        self.abs.resize(n, 0.0);
     }
 
     fn truncate(&mut self, n: usize) {
@@ -110,13 +135,44 @@ impl Entries {
         self.abs.extend_from_slice(&other.abs[range]);
     }
 
-    /// One block-row's entries, and its nonzero count, in arrays of
-    /// exactly its length.
-    fn of_row(block_cols: &[u32], bitmaps: &[u64], values: &[F16]) -> (Entries, u32) {
-        let mut e = Entries::zeroed(entry_bound(bitmaps));
-        let (n, nnz) = row_entries(block_cols, bitmaps, values, e.window());
-        e.truncate(n);
-        (e, nnz)
+    /// Appends one block-row's entries; returns its nonzero count.
+    fn push_row(&mut self, block_cols: &[u32], bitmaps: &[u64], values: &[F16]) -> u32 {
+        let at = self.len();
+        self.resize(at + entry_bound(bitmaps));
+        let (n, nnz) = row_entries(block_cols, bitmaps, values, self.window().rest(at));
+        self.truncate(at + n);
+        nnz
+    }
+
+    /// The entries after a repair of block-rows `touched` (sorted,
+    /// distinct), with their block-row offsets: block-row `touched[i]`
+    /// takes `fresh`'s entries `fresh_ptr[i]..fresh_ptr[i+1]`, and every
+    /// other block-row `br` keeps its entries `ptr[br]..ptr[br+1]` of
+    /// `self`, byte for byte. `self` is read in place, so each untouched
+    /// entry is copied once.
+    pub fn spliced(
+        &self,
+        ptr: &[u32],
+        touched: &[usize],
+        fresh: &Entries,
+        fresh_ptr: &[usize],
+    ) -> (Entries, Vec<u32>) {
+        let block_rows = ptr.len() - 1;
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched must be sorted+unique");
+        assert!(touched.iter().all(|&br| br < block_rows), "touched block-row out of range");
+        assert_eq!(fresh_ptr.len(), touched.len() + 1, "one fresh range per touched block-row");
+        let mut out = Entries::with_capacity(self.len() + fresh.len());
+        let mut out_ptr = Vec::with_capacity(ptr.len());
+        out_ptr.push(0u32);
+        let mut next = touched.iter().enumerate().peekable();
+        for br in 0..block_rows {
+            match next.next_if(|&(_, &t)| t == br) {
+                Some((i, _)) => out.extend_from(fresh, fresh_ptr[i]..fresh_ptr[i + 1]),
+                None => out.extend_from(self, ptr[br] as usize..ptr[br + 1] as usize),
+            }
+            out_ptr.push(out.len() as u32);
+        }
+        (out, out_ptr)
     }
 }
 
@@ -233,23 +289,16 @@ pub struct AbftParts<'a> {
 
 /// Column-sum checksums of a bitBSR matrix, one group per block-row.
 ///
-/// CSR-like layout: block-row `br` owns entries `ptr[br] .. ptr[br+1]` of
-/// `cols` / `sums` / `abs`. Within a block-row the block columns are
-/// sorted and unique, so each matrix column appears at most once.
+/// CSR-like layout: block-row `br` owns entries `ptr[br] .. ptr[br+1]`,
+/// summed from the stored f16 values. Within a block-row the block
+/// columns are sorted and unique, so each matrix column appears at most
+/// once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbftChecksums {
     nrows: usize,
     ncols: usize,
     ptr: Vec<u32>,
-    /// Matrix column index per checksum entry.
-    cols: Vec<u32>,
-    /// `Σ_r A[r, col]` over the block-row, from the stored f16 values.
-    sums: Vec<f64>,
-    /// `Σ_r (1 + dr) A[r, col]` — the row-weighted column sum (`dr` is the
-    /// row offset within the block-row).
-    wsums: Vec<f64>,
-    /// `Σ_r |A[r, col]|` — the value mass that scales the tolerance.
-    abs: Vec<f64>,
+    entries: Entries,
     /// Stored nonzeros per block-row (tolerance scaling).
     nnz_br: Vec<u32>,
 }
@@ -323,9 +372,8 @@ impl AbftChecksums {
             to += n;
         }
         entries.truncate(to);
-        let Entries { cols, sums, wsums, abs } = entries;
         let (nrows, ncols) = (format.nrows, format.ncols);
-        AbftChecksums { nrows, ncols, ptr, cols, sums, wsums, abs, nnz_br }
+        AbftChecksums { nrows, ncols, ptr, entries, nnz_br }
     }
 
     /// Builds the checksums of the *logical* matrix of a [`DeltaBitBsr`]
@@ -337,58 +385,33 @@ impl AbftChecksums {
         let base = m.base();
         let mut ptr = Vec::with_capacity(base.block_rows + 1);
         ptr.push(0u32);
-        let mut all = Entries::default();
+        let mut entries = Entries::default();
         let mut nnz_br = Vec::with_capacity(base.block_rows);
         for br in 0..base.block_rows {
             let row = m.logical_block_row(br);
-            let (e, nnz) = Entries::of_row(&row.cols, &row.bitmaps, &row.values);
-            all.extend_from(&e, 0..e.cols.len());
-            ptr.push(all.cols.len() as u32);
-            nnz_br.push(nnz);
+            nnz_br.push(entries.push_row(&row.cols, &row.bitmaps, &row.values));
+            ptr.push(entries.len() as u32);
         }
-        let Entries { cols, sums, wsums, abs } = all;
-        AbftChecksums { nrows: base.nrows, ncols: base.ncols, ptr, cols, sums, wsums, abs, nnz_br }
+        AbftChecksums { nrows: base.nrows, ncols: base.ncols, ptr, entries, nnz_br }
     }
 
-    /// Splices freshly recomputed entries for `touched` (sorted, unique
-    /// block-row indices) into the CSR-like entry arrays, leaving every
+    /// Re-sums block-rows `touched` (sorted, unique) with `push_row`,
+    /// which appends block-row `br`'s entries and returns its nonzero
+    /// count, and splices them in ([`Entries::spliced`]), leaving every
     /// untouched block-row's entries byte-identical.
-    fn splice_block_rows(&mut self, touched: &[usize], rows: Vec<(Entries, u32)>) {
-        debug_assert_eq!(touched.len(), rows.len());
-        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched must be sorted+unique");
-        assert!(
-            touched.iter().all(|&br| br < self.block_rows()),
-            "touched block-row out of range"
-        );
-        let grow: usize = rows.iter().map(|(e, _)| e.cols.len()).sum();
-        let old = Entries {
-            cols: std::mem::take(&mut self.cols),
-            sums: std::mem::take(&mut self.sums),
-            wsums: std::mem::take(&mut self.wsums),
-            abs: std::mem::take(&mut self.abs),
-        };
-        let cap = old.cols.len() + grow;
-        let mut all = Entries {
-            cols: Vec::with_capacity(cap),
-            sums: Vec::with_capacity(cap),
-            wsums: Vec::with_capacity(cap),
-            abs: Vec::with_capacity(cap),
-        };
-        let mut ptr = Vec::with_capacity(self.ptr.len());
-        ptr.push(0u32);
-        for br in 0..self.block_rows() {
-            match touched.binary_search(&br) {
-                Ok(i) => {
-                    let (e, nnz) = &rows[i];
-                    all.extend_from(e, 0..e.cols.len());
-                    self.nnz_br[br] = *nnz;
-                }
-                Err(_) => all.extend_from(&old, self.ptr[br] as usize..self.ptr[br + 1] as usize),
-            }
-            ptr.push(all.cols.len() as u32);
+    fn repair_with(
+        &mut self,
+        touched: &[usize],
+        mut push_row: impl FnMut(&mut Entries, usize) -> u32,
+    ) {
+        let mut fresh = Entries::default();
+        let mut fresh_ptr = Vec::with_capacity(touched.len() + 1);
+        fresh_ptr.push(0);
+        for &br in touched {
+            self.nnz_br[br] = push_row(&mut fresh, br);
+            fresh_ptr.push(fresh.len());
         }
-        self.ptr = ptr;
-        (self.cols, self.sums, self.wsums, self.abs) = (all.cols, all.sums, all.wsums, all.abs);
+        (self.entries, self.ptr) = self.entries.spliced(&self.ptr, touched, &fresh, &fresh_ptr);
     }
 
     /// Incremental repair against the *logical* matrix: recomputes only
@@ -396,31 +419,23 @@ impl AbftChecksums {
     /// [`crate::EvolvingMatrix`] proves this exactly equals
     /// [`AbftChecksums::build_logical`] from scratch.
     pub fn repair_block_rows(&mut self, m: &DeltaBitBsr, touched: &[usize]) {
-        let rows = touched
-            .iter()
-            .map(|&br| {
-                let row = m.logical_block_row(br);
-                Entries::of_row(&row.cols, &row.bitmaps, &row.values)
-            })
-            .collect();
-        self.splice_block_rows(touched, rows);
+        self.repair_with(touched, |fresh, br| {
+            let row = m.logical_block_row(br);
+            fresh.push_row(&row.cols, &row.bitmaps, &row.values)
+        });
     }
 
     /// Incremental repair against a plain [`BitBsr`] (the *base* format a
     /// tensor-core engine actually runs on — its in-block splices shift
     /// values without going through the side buffer).
     pub fn repair_block_rows_base(&mut self, base: &BitBsr, touched: &[usize]) {
-        let rows = touched
-            .iter()
-            .map(|&br| {
-                let lo = base.block_row_ptr[br] as usize;
-                let hi = base.block_row_ptr[br + 1] as usize;
-                let values =
-                    &base.values[base.block_offsets[lo] as usize..base.block_offsets[hi] as usize];
-                Entries::of_row(&base.block_cols[lo..hi], &base.bitmaps[lo..hi], values)
-            })
-            .collect();
-        self.splice_block_rows(touched, rows);
+        self.repair_with(touched, |fresh, br| {
+            let lo = base.block_row_ptr[br] as usize;
+            let hi = base.block_row_ptr[br + 1] as usize;
+            let values =
+                &base.values[base.block_offsets[lo] as usize..base.block_offsets[hi] as usize];
+            fresh.push_row(&base.block_cols[lo..hi], &base.bitmaps[lo..hi], values)
+        });
     }
 
     /// Number of block-rows covered.
@@ -430,7 +445,7 @@ impl AbftChecksums {
 
     /// Host memory held by the checksums, in bytes.
     pub fn bytes(&self) -> usize {
-        self.ptr.len() * 4 + self.cols.len() * (4 + 8 + 8 + 8) + self.nnz_br.len() * 4
+        self.ptr.len() * 4 + self.entries.len() * (4 + 8 + 8 + 8) + self.nnz_br.len() * 4
     }
 
     /// Extracts the checksums of block-rows `lo..hi` as a standalone
@@ -448,14 +463,13 @@ impl AbftChecksums {
         } else {
             (hi - lo) * BLOCK_DIM
         };
+        let mut entries = Entries::with_capacity(e_hi - e_lo);
+        entries.extend_from(&self.entries, e_lo..e_hi);
         AbftChecksums {
             nrows,
             ncols: self.ncols,
             ptr: self.ptr[lo..=hi].iter().map(|&p| p - e_lo as u32).collect(),
-            cols: self.cols[e_lo..e_hi].to_vec(),
-            sums: self.sums[e_lo..e_hi].to_vec(),
-            wsums: self.wsums[e_lo..e_hi].to_vec(),
-            abs: self.abs[e_lo..e_hi].to_vec(),
+            entries,
             nnz_br: self.nnz_br[lo..hi].to_vec(),
         }
     }
@@ -469,10 +483,10 @@ impl AbftChecksums {
             nrows: self.nrows,
             ncols: self.ncols,
             ptr: &self.ptr,
-            cols: &self.cols,
-            sums: &self.sums,
-            wsums: &self.wsums,
-            abs: &self.abs,
+            cols: &self.entries.cols,
+            sums: &self.entries.sums,
+            wsums: &self.entries.wsums,
+            abs: &self.entries.abs,
             nnz_br: &self.nnz_br,
         }
     }
@@ -519,7 +533,8 @@ impl AbftChecksums {
                 return Err(format!("block-row {br} column out of range"));
             }
         }
-        Ok(AbftChecksums { nrows, ncols, ptr, cols, sums, wsums, abs, nnz_br })
+        let entries = Entries { cols, sums, wsums, abs };
+        Ok(AbftChecksums { nrows, ncols, ptr, entries, nnz_br })
     }
 
     /// Checks one block-row of `y` against its checksum. `true` = passes.
@@ -554,10 +569,11 @@ impl AbftChecksums {
         let mut expect_w = 0.0f64;
         let mut scale = 0.0f64;
         for e in self.ptr[br] as usize..self.ptr[br + 1] as usize {
-            let xt = F16::round_f32(x_at(self.cols[e] as usize)) as f64;
-            expect += self.sums[e] * xt;
-            expect_w += self.wsums[e] * xt;
-            scale += self.abs[e] * xt.abs();
+            let k = &self.entries;
+            let xt = F16::round_f32(x_at(k.cols[e] as usize)) as f64;
+            expect += k.sums[e] * xt;
+            expect_w += k.wsums[e] * xt;
+            scale += k.abs[e] * xt.abs();
         }
         // The kernel accumulates each y[r] in f32 over f16·f16 products;
         // summing the 8 rows here is f64 (error-free). Worst-case rounding
@@ -879,7 +895,7 @@ mod tests {
                 }
             }
             for e in sums.ptr[br] as usize..sums.ptr[br + 1] as usize {
-                assert_eq!(sums.sums[e], dense_sums[sums.cols[e] as usize]);
+                assert_eq!(sums.entries.sums[e], dense_sums[sums.entries.cols[e] as usize]);
             }
         }
     }

@@ -28,6 +28,7 @@ use crate::abft::AbftChecksums;
 use crate::bitbsr::BitBsr;
 use crate::delta::{ApplyStats, DeltaBitBsr, UpdateFault};
 use spaden_sparse::delta::{apply_to_csr, classify, DeltaBatch, DeltaClass, UpdateError};
+use spaden_sparse::stats::{block_rows_profile, BlockProfile};
 use spaden_sparse::Csr;
 
 /// Tuning knobs of the update lifecycle.
@@ -82,6 +83,11 @@ pub struct UpdateReport {
     pub compacted: bool,
     /// Block-rows whose checksums were incrementally repaired.
     pub touched_block_rows: usize,
+    /// For a structural commit, the block profile its touched block-rows
+    /// had before it: what a matrix-wide profile carried across commits
+    /// takes out before adding theirs after it. `None` for a value-only
+    /// commit, which keeps every block.
+    pub replaced_profile: Option<BlockProfile>,
 }
 
 /// Typed failure of [`EvolvingMatrix::from_parts`] — the verified
@@ -265,6 +271,8 @@ impl EvolvingMatrix {
             }
             self.stats.audits += 1;
         }
+        let replaced_profile = matches!(class, DeltaClass::Structural)
+            .then(|| block_rows_profile(&self.csr, touched.iter().copied()));
         // Commit.
         self.csr = next_csr;
         self.delta = next_delta;
@@ -285,6 +293,7 @@ impl EvolvingMatrix {
             apply,
             compacted,
             touched_block_rows: touched.len(),
+            replaced_profile,
         })
     }
 
@@ -404,8 +413,10 @@ mod tests {
             .apply(&DeltaBatch::new(vec![Delta { row: 0, col: c0, value: 9.0 }], 48, 48).unwrap(), None)
             .unwrap();
         assert_eq!(r.class, DeltaClass::ValueOnly);
+        assert_eq!(r.replaced_profile, None);
         // An entry at a position CSR row 0 does not have.
         let missing = (0..48u32).find(|c| !m.csr().row(0).0.contains(c)).unwrap();
+        let old_profile = block_rows_profile(m.csr(), [0]);
         let r = m
             .apply(
                 &DeltaBatch::new(vec![Delta { row: 0, col: missing, value: 1.0 }], 48, 48).unwrap(),
@@ -413,6 +424,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.class, DeltaClass::Structural);
+        assert_eq!(r.replaced_profile, Some(old_profile));
         let st = m.stats();
         assert_eq!((st.value_only_batches, st.structural_batches), (1, 1));
     }
