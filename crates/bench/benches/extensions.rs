@@ -1,10 +1,8 @@
-//! Benches for the §7 future-work kernels: SpMM, SDDMM, SpGEMM and bitCOO
+//! Benches for the §7 future-work kernels: SpMM, SDDMM and bitCOO
 //! simulation throughput.
 
 use spaden::sparse::dense::Dense;
-use spaden::{
-    BitCooEngine, SpadenSddmmEngine, SpadenSpgemmEngine, SpadenSpmmEngine, SpmvEngine,
-};
+use spaden::{BitCooEngine, SpadenSddmmEngine, SpadenSpmmEngine, SpmvEngine};
 use spaden_bench::{make_x, BenchGroup};
 use spaden_gpusim::{Gpu, GpuConfig};
 use spaden_sparse::datasets::by_name;
@@ -30,14 +28,6 @@ fn main() {
         let x = Dense::from_fn(ds.csr.nrows, 16, |r, k| ((r * 3 + k) % 7) as f32 * 0.25);
         let y = Dense::from_fn(ds.csr.ncols, 16, |r, k| ((r + 2 * k) % 5) as f32 * 0.5);
         g.bench("spaden_sddmm_k16", || engine.run(&gpu, std::hint::black_box(&x), &y));
-    }
-
-    let g = BenchGroup::new("ext_spgemm");
-    {
-        let small = by_name("cant").expect("dataset").generate(0.01);
-        let gpu = Gpu::new(GpuConfig::l40());
-        let engine = SpadenSpgemmEngine::prepare(&gpu, &small.csr, &small.csr);
-        g.bench("spaden_spgemm_axa", || engine.run(&gpu));
     }
 
     let mut g = BenchGroup::new("ext_bitcoo");

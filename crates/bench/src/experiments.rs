@@ -439,10 +439,6 @@ pub fn extensions(config: GpuConfig, datasets: &[Dataset]) -> Vec<Table> {
         format!("Extension: bitCOO vs bitBSR SpMV ({})", config.name),
         &["Matrix", "bitBSR us", "bitCOO us", "bitBSR B/nnz", "bitCOO B/nnz", "atomics"],
     );
-    let mut spgemm_t = Table::new(
-        format!("Extension: SpGEMM C = A x A ({}; small matrices only)", config.name),
-        &["Matrix", "C nnz", "C blocks", "GFLOPS", "time us", "MMAs"],
-    );
 
     for ds in datasets {
         let gpu = Gpu::new(config.clone());
@@ -491,25 +487,8 @@ pub fn extensions(config: GpuConfig, datasets: &[Dataset]) -> Vec<Table> {
             Table::num(coo_eng.prep().bytes_per_nnz(nnz)),
             rc.counters.atomic_ops.to_string(),
         ]);
-
-        // SpGEMM (A x A): products grow quadratically with blocks per row,
-        // so regenerate a small instance of the same structural class.
-        let small = ds.spec.generate((0.02f64).min(ds.scale));
-        if small.csr.nrows == small.csr.ncols {
-            let g2 = Gpu::new(config.clone());
-            let eng = spaden::SpadenSpgemmEngine::prepare(&g2, &small.csr, &small.csr);
-            let run = eng.run(&g2);
-            spgemm_t.push_row(vec![
-                ds.spec.name.into(),
-                run.c.nnz().to_string(),
-                run.c.bnnz().to_string(),
-                Table::num(run.gflops()),
-                Table::num(run.time.seconds * 1e6),
-                run.counters.mma_m16n16k16.to_string(),
-            ]);
-        }
     }
-    vec![spmm_t, sddmm_t, bitcoo_t, spgemm_t]
+    vec![spmm_t, sddmm_t, bitcoo_t]
 }
 
 /// Reordering study (§6 related work, applied to bitBSR): how much a

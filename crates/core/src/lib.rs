@@ -47,7 +47,6 @@ pub mod evolve;
 pub mod kernel_cuda;
 pub mod kernel_tc;
 pub mod sddmm;
-pub mod spgemm;
 pub mod spmm;
 
 pub use abft::{AbftChecksums, AbftParts};
@@ -60,7 +59,6 @@ pub use evolve::{EvolveConfig, EvolveStats, EvolvingMatrix, RestoreError, Update
 pub use kernel_cuda::SpadenNoTcEngine;
 pub use kernel_tc::{FragmentIo, Packing, SpadenConfig, SpadenEngine, ABFT_MAX_RETRIES};
 pub use sddmm::SpadenSddmmEngine;
-pub use spgemm::{spgemm_reference, SpadenSpgemmEngine, SpgemmRun};
 pub use spmm::{CsrSpmmEngine, SpadenSpmmEngine, SpmmRun};
 
 // Re-export the substrate crates under stable names for downstream users.

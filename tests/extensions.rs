@@ -1,5 +1,5 @@
-//! Integration tests for the future-work extensions (SpMM, SDDMM, bitCOO,
-//! the graph library) on the Table-1 dataset stand-ins.
+//! Integration tests for the future-work extensions (SpMM, SDDMM and
+//! bitCOO) on the Table-1 dataset stand-ins.
 
 use spaden::gpusim::{Gpu, GpuConfig};
 use spaden::sparse::dense::{sddmm_reference, spmm_reference, Dense};
@@ -77,22 +77,6 @@ fn bitcoo_agrees_with_oracle_on_datasets() {
             assert!(((*a as f64) - o).abs() <= tol, "{} row {r}: {a} vs {o}", spec.name);
         }
     }
-}
-
-#[test]
-fn graph_pipeline_end_to_end() {
-    // PageRank over a Table-1-style power-law graph, sanity-checked.
-    let gpu = Gpu::new(GpuConfig::l40());
-    let adj = spaden_sparse::gen::scale_free(2000, 16_000, 1.2, 7);
-    let graph = spaden_graph::Graph::from_adjacency(adj).expect("square");
-    let pr = spaden_graph::pagerank(&gpu, &graph, 0.85, 1e-6, 100);
-    let sum: f32 = pr.values.iter().sum();
-    assert!((sum - 1.0).abs() < 0.05, "rank mass {sum}");
-    assert!(pr.values.iter().all(|v| *v >= 0.0));
-
-    let (levels, _) = spaden_graph::bfs_levels(&gpu, &graph, 0);
-    assert_eq!(levels[0], 0);
-    assert!(levels.iter().any(|&l| l > 0), "BFS must reach someone");
 }
 
 #[test]
